@@ -142,33 +142,34 @@ def _limit_rows(law: LimitLaw, grid, levels) -> list:
         rows.append(("m1", float(t), None, law.m1(t)))
         rows.append(("m2", float(t), None, law.m2(t)))
     rows.append(("m1", float("inf"), None, law.mass_limit))
-    for i1, t1 in enumerate(grid):
-        for t2 in grid[i1:]:
-            rows.append(("cov", float(t1), float(t2), law.cov_statistic(t1, t2)))
+    rows += _upper_triangle("cov", grid, law.gram_statistic(grid))
     if law.phi.positive and levels:
         for h in levels:
             rows.append(("tau", float(h), None, law.tau(h)))
             rows.append(("tau_prime", float(h), None, law.tau_prime(h)))
-        for i1, h1 in enumerate(levels):
-            for h2 in levels[i1:]:
-                rows.append(("cov_hitting", float(h1), float(h2), law.cov_hitting(h1, h2)))
+        rows += _upper_triangle("cov_hitting", levels, law.gram_hitting(levels))
     return rows
+
+
+def _upper_triangle(quantity: str, points, gram: np.ndarray) -> list:
+    return [(quantity, float(points[i1]), float(points[i2]), gram[i1, i2])
+            for i1 in range(len(points)) for i2 in range(i1, len(points))]
 
 
 def _cmd_limit(args) -> int:
     params = _params_from_args(args)
-    phi = PhiSpec.parse(args.phi).build()
+    spec = PhiSpec.parse(args.phi)
     grid = parse_grid(args.grid) if args.grid else ()
     if not grid:
         raise ValueError("limit command requires a nonempty --grid")
     levels = parse_grid(args.levels) if args.levels else ()
-    law = LimitLaw(params, phi)
+    law = LimitLaw(params, spec.build())
     rows = _limit_rows(law, grid, levels)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "params": params.to_dict(),
-            "phi": PhiSpec.parse(args.phi).to_dict(),
+            "phi": spec.to_dict(),
             "grid": [float(t) for t in grid],
             "levels": [float(h) for h in levels],
             "rows": [

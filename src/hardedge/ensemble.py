@@ -189,10 +189,6 @@ def theta(params: EnsembleParams, j):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _log_p_at_c(params: EnsembleParams, shapes) -> np.ndarray:
-    return log_reg_lower_gamma(shapes, params.c)
-
-
 def _u_from_uniform(params: EnsembleParams, shapes, log_p_c, uniforms) -> np.ndarray:
     """Inverse-CDF map: uniform -> U, all arrays broadcastable.
 
@@ -227,10 +223,8 @@ def _uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
 
 def sample_configuration(params: EnsembleParams, seed: int, stream: int = 0) -> RadialConfiguration:
     """Sample all n particles independently; bit-reproducible for a fixed key."""
-    u = _uniform_stream(seed, stream, params.n)
-    shapes = params.shapes()
-    vals = _u_from_uniform(params, shapes, _log_p_at_c(params, shapes), u)
-    return RadialConfiguration(u=vals, params=params, seed=int(seed), stream=int(stream))
+    u = sample_batch(params, seed, [stream])[0]
+    return RadialConfiguration(u=u, params=params, seed=int(seed), stream=int(stream))
 
 
 def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
@@ -244,7 +238,7 @@ def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
     for row, s in enumerate(streams):
         uni[row] = _uniform_stream(seed, s, params.n)
     shapes = params.shapes()
-    log_p_c = _log_p_at_c(params, shapes)
+    log_p_c = log_reg_lower_gamma(shapes, params.c)
     return _u_from_uniform(params, shapes[None, :], log_p_c[None, :], uni)
 
 

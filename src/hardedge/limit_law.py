@@ -94,6 +94,7 @@ def omega2(x):
 
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
+_TAU_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ class LimitLaw:
             if hi > 1e14:
                 raise ArithmeticError("failed to bracket the inverse mean; this is a bug")
         t = 0.5 * (lo + hi)
-        for _ in range(200):
+        for _ in range(_TAU_MAX_ITER):
             f = self.m1(t) - h
             if f > 0.0:
                 hi = t
@@ -247,7 +248,7 @@ class LimitLaw:
             if abs(t_new - t) < 1e-14 * max(1.0, abs(t_new)):
                 return t_new
             t = t_new
-        return t
+        raise ArithmeticError(f"inverse mean at level {h!r} did not converge; this is a bug")
 
     def tau(self, h) -> float:
         """Functional inverse of m1 on [0, L); errors for h >= L, where the
@@ -288,20 +289,21 @@ class LimitLaw:
     # ---- Gram matrices ---------------------------------------------------
 
     def gram_statistic(self, grid) -> np.ndarray:
-        g = np.asarray(grid, dtype=float)
-        out = np.empty((len(g), len(g)))
-        for i1, t1 in enumerate(g):
-            for i2 in range(i1, len(g)):
-                out[i1, i2] = out[i2, i1] = self.cov_statistic(t1, g[i2])
-        return out
+        return _gram_matrix(self.cov_statistic, grid)
 
     def gram_hitting(self, levels) -> np.ndarray:
-        h = np.asarray(levels, dtype=float)
-        out = np.empty((len(h), len(h)))
-        for i1, h1 in enumerate(h):
-            for i2 in range(i1, len(h)):
-                out[i1, i2] = out[i2, i1] = self.cov_hitting(h1, h[i2])
-        return out
+        return _gram_matrix(self.cov_hitting, levels)
+
+
+def _gram_matrix(kernel, points) -> np.ndarray:
+    """Symmetric matrix kernel(p_i, p_j), evaluated once per entry on and above
+    the diagonal, row by row."""
+    p = np.asarray(points, dtype=float)
+    out = np.empty((len(p), len(p)))
+    for i1 in range(len(p)):
+        for i2 in range(i1, len(p)):
+            out[i1, i2] = out[i2, i1] = kernel(p[i1], p[i2])
+    return out
 
 
 def _cholesky_with_jitter(gram: np.ndarray) -> np.ndarray:
@@ -328,11 +330,7 @@ def sample_gaussian_path(kernel, grid, seed: int, stream: int = 0) -> GridSample
         raise ValueError("grid must be a nonempty 1-d array")
     if np.any(np.diff(g) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    gram = np.empty((len(g), len(g)))
-    for i1 in range(len(g)):
-        for i2 in range(i1, len(g)):
-            gram[i1, i2] = gram[i2, i1] = kernel(g[i1], g[i2])
-    chol = _cholesky_with_jitter(gram)
+    chol = _cholesky_with_jitter(_gram_matrix(kernel, g))
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     z = gen.standard_normal(len(g))

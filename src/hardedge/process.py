@@ -28,7 +28,7 @@ from scipy.special import gammaln
 
 from . import ensemble
 from .ensemble import EnsembleParams, RadialConfiguration
-from .special_functions import inv_log_reg_lower_gamma, log_reg_lower_gamma
+from .special_functions import log_reg_lower_gamma
 
 __all__ = [
     "TestFunction",
@@ -211,9 +211,7 @@ def _tail_cutoff(params: EnsembleParams, eps: float) -> float:
     """T with Prob[U_j > T] <= eps for every particle j."""
     shapes = params.shapes()
     lp_c = log_reg_lower_gamma(shapes, params.c)
-    x = inv_log_reg_lower_gamma(shapes, math.log(eps) + lp_c)
-    t = -params.u_scale * (np.log(x) - math.log(params.c))
-    return float(np.max(t))
+    return float(np.max(ensemble._u_from_uniform(params, shapes, lp_c, eps)))
 
 
 def mean_exact(params: EnsembleParams, phi: TestFunction, t) -> float:

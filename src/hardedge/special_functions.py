@@ -1,12 +1,11 @@
 """Gamma-family primitives used throughout the sampling and exact-CDF code.
 
-Everything here is a thin, validated layer over the battle-tested routines in
-``scipy.special``, plus two log-space companions that survive shape parameters
-far into the regime where the regularized lower incomplete gamma function
-``P(a, x)`` underflows in double precision (``log P`` down to about -1e7).
-The log-space pair is what lets the per-particle laws be evaluated and
-inverted for particle counts of order 1e5, where the relevant probabilities
-are as small as ``exp(-O(n))``.
+A validated log-space layer over ``scipy.special``: ln P(a, x) and its
+inverse survive shape parameters far into the regime where the regularized
+lower incomplete gamma function ``P(a, x)`` underflows in double precision
+(``log P`` down to about -1e7).  The pair is what lets the per-particle laws
+be evaluated and inverted for particle counts of order 1e5, where the
+relevant probabilities are as small as ``exp(-O(n))``.
 
 All functions are pure and reentrant; arrays broadcast in the usual numpy
 fashion and scalars come back as Python floats.
@@ -20,9 +19,6 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln
 
 __all__ = [
-    "log_gamma",
-    "reg_lower_gamma",
-    "inv_reg_lower_gamma",
     "log_reg_lower_gamma",
     "inv_log_reg_lower_gamma",
 ]
@@ -32,6 +28,7 @@ __all__ = [
 _LINEAR_FLOOR = 1e-280
 
 _MAX_NEWTON_ITER = 200
+_MAX_SERIES_TERMS = 100_000
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -39,52 +36,6 @@ def _as_float_array(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr) | np.isposinf(arr)):
         raise ValueError(f"{name} must be finite (or +inf where documented), got {x!r}")
     return arr
-
-
-def log_gamma(a):
-    """Natural log of the gamma function, ln Gamma(a), for a > 0."""
-    arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"log_gamma requires finite a > 0, got {a!r}")
-    out = gammaln(arr)
-    return float(out) if np.isscalar(a) or arr.ndim == 0 else out
-
-
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
-
-    Monotone non-decreasing in x, with values in [0, 1]; x may be +inf.
-    """
-    aa = np.asarray(a, dtype=float)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(aa)) or np.any(aa <= 0.0):
-        raise ValueError(f"reg_lower_gamma requires finite a > 0, got {a!r}")
-    if np.any(np.isnan(xa)) or np.any(xa < 0.0):
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x!r}")
-    out = gammainc(*np.broadcast_arrays(aa, xa))
-    scalar = np.isscalar(a) and np.isscalar(x)
-    return float(out) if scalar or np.ndim(out) == 0 else out
-
-
-def inv_reg_lower_gamma(a, p):
-    """Inverse of ``reg_lower_gamma`` in its second argument.
-
-    p = 0 maps to 0 and p = 1 maps to +inf (a sentinel, not an error: callers
-    that sample clamp their uniforms away from 1, so this path is defensive).
-    """
-    aa = np.asarray(a, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(aa)) or np.any(aa <= 0.0):
-        raise ValueError(f"inv_reg_lower_gamma requires finite a > 0, got {a!r}")
-    if np.any(np.isnan(pa)) or np.any(pa < 0.0) or np.any(pa > 1.0):
-        raise ValueError(f"inv_reg_lower_gamma requires p in [0, 1], got {p!r}")
-    aa, pa = np.broadcast_arrays(aa, pa)
-    out = np.where(pa >= 1.0, np.inf, gammaincinv(aa, np.minimum(pa, 1.0 - 2.0**-53)))
-    out = np.where(pa <= 0.0, 0.0, out)
-    if np.any(~np.isfinite(out) & (pa < 1.0)):
-        raise ArithmeticError("inv_reg_lower_gamma failed to converge; this is a bug")
-    scalar = np.isscalar(a) and np.isscalar(p)
-    return float(out) if scalar or np.ndim(out) == 0 else out
 
 
 def log_reg_lower_gamma(a, x):
@@ -124,12 +75,12 @@ def _log_p_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     term = np.ones_like(a)
     total = np.ones_like(a)
     k = 0
-    while True:
+    while np.any(term > 1e-18 * total):
         k += 1
+        if k > _MAX_SERIES_TERMS:
+            raise ArithmeticError("left-tail gamma series did not converge; this is a bug")
         term = term * x / (a + k)
         total += term
-        if k > 100_000 or not np.any(term > 1e-18 * total):
-            break
     return a * np.log(x) - x - np.log(a) + np.log(total) - gammaln(a)
 
 

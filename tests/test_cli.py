@@ -144,6 +144,15 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
 
+    def test_zero_lemma_replicates_exits_2(self, tmp_path, capsys):
+        code = main([
+            "verify", "--campaign", "hitting", "--n", "50", "--levels", "0.075",
+            "--replicates", "20", "--n-ladder", "50,100", "--lemma-replicates", "0",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "lemma_replicates must be >= 1" in capsys.readouterr().err
+
     def test_report_schema_validates(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         out = tmp_path / "report.json"

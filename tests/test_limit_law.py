@@ -187,6 +187,12 @@ class TestTau:
         with pytest.raises(ValueError):
             law.tau(0.1)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ll, "_TAU_MAX_ITER", 1)
+        law = LimitLaw(CANON, proc.phi_one())
+        with pytest.raises(ArithmeticError):
+            law.tau(0.3)
+
 
 class TestHittingCovariance:
     def test_vanishes_at_zero_level(self):

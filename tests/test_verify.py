@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from hardedge.ensemble import EnsembleParams
+from hardedge.ensemble import EnsembleParams, sample_configuration
+from hardedge.process import build_statistic
 from hardedge.verify import (
     ExperimentConfig,
     PhiSpec,
     _isserlis,
+    _simulate_statistic,
     run_campaign,
     run_centering_rate,
     run_clt,
@@ -35,6 +37,8 @@ class TestConfig:
             ExperimentConfig(kind="clt", params=SMALL, grid=(2.0, 1.0))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="clt", params=SMALL, workers=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="hitting", params=SMALL, lemma_replicates=0)
 
     def test_phi_spec_parse(self):
         assert PhiSpec.parse("one").kind == "one"
@@ -51,6 +55,28 @@ class TestConfig:
         phi = spec.build()
         assert phi.positive
         assert phi(np.array([0.5]))[0] == pytest.approx(1.5)
+
+
+class TestStatisticReduction:
+    @pytest.mark.parametrize("kind", ["one", "rational"])
+    @pytest.mark.parametrize("with_levels", [False, True])
+    def test_matches_per_configuration_path(self, kind, with_levels):
+        # the campaign reduction against build_statistic on the same draws,
+        # over two replicate blocks; for phi = rational the two upper levels
+        # lie above the total mass, so Q = +inf is covered too
+        p = EnsembleParams(0.0, 1.0, 0.5, 200)
+        cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec(kind=kind),
+                               replicates=150, seed=8)
+        phi = cfg.phi.build()
+        grid = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 30.0])
+        levels = np.array([0.05, 0.2, 0.4, 0.74])
+        out = _simulate_statistic(cfg, p, phi, grid,
+                                  **({"levels": levels} if with_levels else {}))
+        for i in range(cfg.replicates):
+            path = build_statistic(sample_configuration(p, cfg.seed, i), phi)
+            assert np.max(np.abs(out[0][i] - path.value(grid))) <= 1e-13
+            if with_levels:
+                assert np.array_equal(out[2][i], path.hitting_time(levels))
 
 
 class TestCltCampaign:
