@@ -110,8 +110,8 @@ def _cmd_sample(args) -> int:
     if args.replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {args.replicates}")
     configs = [
-        ens.sample_configuration(params, args.seed, stream=i)
-        for i in range(args.replicates)
+        ens.RadialConfiguration(u=u, params=params, seed=int(args.seed), stream=i)
+        for i, u in enumerate(ens.sample_batch(params, args.seed, range(args.replicates)))
     ]
     if args.format == "json":
         if len(configs) == 1:

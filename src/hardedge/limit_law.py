@@ -6,12 +6,14 @@ covariance
     cov(t1, t2) = m2(t1 ^ t2) - m12(t1, t2),
 
 where m_k(t) = kappa * int_0^t phi^k omega1 and m12 is the double integral of
-phi(x1) phi(x2) omega2(x1 + x2).  The mixture densities
+phi(x1) phi(x2) omega2(x1 + x2).  The mixture densities are ratios of
+regularized lower incomplete gamma functions P(a, x),
 
-    omega1(x) = int_0^1 s e^{-sx} ds = (e^x - 1 - x) e^{-x} / x^2,
-    omega2(x) = int_0^1 s^2 e^{-sx} ds = 2 (e^x - 1 - x - x^2/2) e^{-x} / x^3,
+    omega1(x) = int_0^1 s e^{-sx} ds = P(2, x) / x^2,
+    omega2(x) = int_0^1 s^2 e^{-sx} ds = 2 P(3, x) / x^3,
 
-decay only algebraically (x^-2 and x^-3), so semi-infinite integrals go
+neither of which cancels; a three-term Taylor polynomial covers x < 1e-5.
+They decay only algebraically (x^-2 and x^-3), so semi-infinite integrals go
 through QUADPACK's infinite-interval transformation rather than naive tail
 truncation.  For positive phi the mean m1 is strictly increasing with finite
 limit L; its inverse tau and the derivative tau' give the hitting-time limit
@@ -30,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from .ensemble import EnsembleParams
 from .process import TestFunction
@@ -42,55 +45,36 @@ __all__ = [
     "sample_gaussian_path",
 ]
 
-# Taylor branch below x = 0.05: twelve terms keep the truncation error under
-# 1e-25 while the closed forms lose digits to cancellation only below ~0.02.
-_SERIES_RADIUS = 0.05
-_SERIES_TERMS = 12
-_INV_FACT_1 = np.array([1.0 / math.factorial(k + 2) for k in range(_SERIES_TERMS)])
-_INV_FACT_2 = np.array([1.0 / math.factorial(k + 3) for k in range(_SERIES_TERMS)])
-
-# Beyond this point e^{-x}(1+x) is negligible next to 1 and expm1 would
-# overflow anyway; switch to the multiplied-through form.
-_LARGE_X = 30.0
+# The gamma ratios are 0/0 at x = 0 and x^k underflows near 1e-103; below this
+# radius the first omitted Taylor term is under 1e-16 relative.
+_TAYLOR_RADIUS = 1e-5
 
 
-def _omega_eval(x, inv_fact: np.ndarray, which: int):
+def _mixture_density(x, k: int, taylor):
+    """int_0^1 s^(k-1) e^{-sx} ds = (k-1)! P(k, x) / x^k for x >= 0."""
     xa = np.asarray(x, dtype=float)
-    if np.any(np.isnan(xa)) or np.any(xa < 0.0):
+    if not (xa >= 0.0).all():  # also rejects NaN
         raise ValueError(f"omega functions are defined on x >= 0, got {x!r}")
-    out = np.empty(xa.shape)
-    small = xa < _SERIES_RADIUS
-    if small.any():
-        xs = xa[small]
-        acc = np.zeros_like(xs)
-        for coeff in inv_fact[::-1]:
-            acc = acc * xs + coeff
-        out[small] = (which * acc) * np.exp(-xs)
-    mid = ~small & (xa <= _LARGE_X)
-    if mid.any():
-        xm = xa[mid]
-        if which == 1:
-            out[mid] = (np.expm1(xm) - xm) / xm**2 * np.exp(-xm)
-        else:
-            out[mid] = 2.0 * (np.expm1(xm) - xm - 0.5 * xm**2) / xm**3 * np.exp(-xm)
-    big = xa > _LARGE_X
-    if big.any():
-        xb = xa[big]
-        if which == 1:
-            out[big] = (1.0 - (1.0 + xb) * np.exp(-xb)) / xb**2
-        else:
-            out[big] = (2.0 - (2.0 + 2.0 * xb + xb**2) * np.exp(-xb)) / xb**3
+    small = xa < _TAYLOR_RADIUS
+    xg = np.where(small, 1.0, xa)
+    out = np.where(
+        small,
+        taylor[0] + xa * (taylor[1] + xa * taylor[2]),
+        math.factorial(k - 1) * gammainc(k, xg) / xg**k,
+    )
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def omega1(x):
-    """First mixture density, int_0^1 s e^{-sx} ds; a probability density."""
-    return _omega_eval(x, _INV_FACT_1, 1)
+    """First mixture density, int_0^1 s e^{-sx} ds = P(2, x)/x^2; a
+    probability density."""
+    return _mixture_density(x, 2, (1.0 / 2.0, -1.0 / 3.0, 1.0 / 8.0))
 
 
 def omega2(x):
-    """Second mixture density, int_0^1 s^2 e^{-sx} ds; integrates to 1/2."""
-    return _omega_eval(x, _INV_FACT_2, 2)
+    """Second mixture density, int_0^1 s^2 e^{-sx} ds = 2 P(3, x)/x^3;
+    integrates to 1/2."""
+    return _mixture_density(x, 3, (1.0 / 3.0, -1.0 / 4.0, 1.0 / 10.0))
 
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)

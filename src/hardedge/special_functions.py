@@ -31,10 +31,10 @@ _MAX_NEWTON_ITER = 200
 _MAX_SERIES_TERMS = 100_000
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def _as_float_array(x, name: str, inf_ok: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr) | np.isposinf(arr)):
-        raise ValueError(f"{name} must be finite (or +inf where documented), got {x!r}")
+    if not np.all(np.isfinite(arr) | (inf_ok & np.isposinf(arr))):
+        raise ValueError(f"{name} must be finite{' (or +inf)' if inf_ok else ''}, got {x!r}")
     return arr
 
 
@@ -51,7 +51,7 @@ def log_reg_lower_gamma(a, x):
     converges geometrically.
     """
     aa = _as_float_array(a, "a")
-    xa = _as_float_array(x, "x")
+    xa = _as_float_array(x, "x", inf_ok=True)
     if np.any(aa <= 0.0) or np.any(xa < 0.0):
         raise ValueError("log_reg_lower_gamma requires a > 0 and x >= 0")
     aa, xa = np.broadcast_arrays(aa, xa)

@@ -488,7 +488,7 @@ def run_tv_decay(config: ExperimentConfig) -> ExperimentReport:
         if len(js) == 0:
             raise ValueError(f"no particles with theta > 1+delta at n={n}; "
                              "increase n or decrease delta")
-        bounds = np.array([ens.tv_upper_bound(p, int(j)) for j in js])
+        bounds = ens.tv_upper_bound(p, js)
         k = int(np.argmax(bounds))
         mx = float(bounds[k])
         col.append(mx)

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hardedge.cli import main, parse_grid
+from hardedge.ensemble import EnsembleParams, sample_configuration
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -87,6 +89,11 @@ class TestSampleCommand:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["configurations"]) == 3
+        params = EnsembleParams.from_dict(payload["params"])
+        for i, row in enumerate(payload["configurations"]):
+            assert row["stream"] == i
+            expected = sample_configuration(params, payload["seed"], i).u
+            assert np.array_equal(np.array(row["u"]), expected)
 
 
 class TestLimitCommand:

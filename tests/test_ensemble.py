@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,68 @@ class TestExponentialApproximation:
     def test_tv_bound_requires_theta_above_one(self):
         with pytest.raises(ValueError):
             ens.tv_upper_bound(CANON, 20)
+        with pytest.raises(ValueError):
+            ens.tv_upper_bound(CANON, np.array([20, 80]))
+        with pytest.raises(IndexError):
+            ens.tv_upper_bound(CANON, 101)
+
+
+def tv_bound_mpmath(params: EnsembleParams, j: int) -> float:
+    """1 - (s-c) e^c c^{-s} gamma(s, c) at 40 digits, from the double s and c."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf((j + params.alpha) / params.b)
+        c = mpmath.mpf(params.c)
+        return float(1 - (s - c) * mpmath.exp(c) * c ** (-s) * mpmath.gammainc(s, 0, c))
+
+
+class TestTvSeries:
+    @pytest.mark.parametrize("n", [100, 1000, 10_000, 100_000])
+    def test_against_mpmath_on_the_ladder(self, n):
+        # the particles criterion 7 scans (theta > 1.1): first, argmax, middle, last
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=n)
+        js = np.flatnonzero(ens.theta(p, np.arange(1, n + 1)) > 1.1) + 1
+        bounds = ens.tv_upper_bound(p, js)
+        for k in (0, int(np.argmax(bounds)), len(js) // 2, len(js) - 1):
+            expected = tv_bound_mpmath(p, int(js[k]))
+            assert bounds[k] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "params, j",
+        [
+            (EnsembleParams(alpha=25e-9, b=1.0, rho=0.5, n=100), 25),     # theta = 1 + 1e-9
+            (EnsembleParams(alpha=1e-5, b=1.0, rho=0.5, n=100_000), 25_000),
+            (EnsembleParams(alpha=0.0, b=1.0, rho=0.05, n=100), 100),     # theta = 400
+            (EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=50), 50),
+        ],
+    )
+    def test_against_mpmath_at_extreme_theta(self, params, j):
+        assert ens.tv_upper_bound(params, j) == pytest.approx(
+            tv_bound_mpmath(params, j), rel=1e-14, abs=0.0
+        )
+
+    def test_vector_call_equals_scalar_calls(self):
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=10_000)
+        js = np.arange(2600, 10_001, 37)
+        bounds = ens.tv_upper_bound(p, js)
+        assert isinstance(ens.tv_upper_bound(p, 2600), float)
+        assert np.array_equal(bounds, [ens.tv_upper_bound(p, int(j)) for j in js])
+
+    @pytest.mark.parametrize("j", [26, 40, 80, 100])
+    def test_against_weight_quadrature(self, j):
+        # the defining integral int (1 - w) rate e^{-rate x} dx
+        rate = ens.exp_rate(CANON, j)
+        beta, c = CANON.beta, CANON.c
+        val, _ = quad(
+            lambda x: -math.expm1(-c * (math.expm1(-beta * x) + beta * x))
+            * rate * math.exp(-rate * x),
+            0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400,
+        )
+        assert ens.tv_upper_bound(CANON, j) == pytest.approx(val, rel=1e-12, abs=0.0)
+
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ens, "_TV_MAX_TERMS", 1)
+        with pytest.raises(ArithmeticError):
+            ens.tv_upper_bound(CANON, 80)
 
 
 class TestSerialization:

@@ -14,15 +14,20 @@ from hardedge.process import TestFunction as PhiFunction
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
 
 # Frozen with mpmath at 50 digits from the closed forms (e^x-1-x)e^{-x}/x^2
-# and 2(e^x-1-x-x^2/2)e^{-x}/x^3, spanning the series/branch boundaries.
+# and 2(e^x-1-x-x^2/2)e^{-x}/x^3, spanning the Taylor radius 1e-5 and
+# 0.0645, where a cancelling closed form used to take over.
 OMEGA_REF = {
+    9.99e-6: (0.4999966700124749792669, 0.3333308358433133156391),
+    1.001e-5: (0.4999966633458583123997, 0.333330830843353315472),
     0.001: (0.4996667916333402765875, 0.333083433305561506895),
     0.04: (0.4868645509899138645131, 0.3234915706876129896723),
     0.05: (0.4836417097001161816014, 0.3210798979903670822261),
+    0.0644710210732387: (0.4790204098878058244979, 0.3176238872693404404316),
     0.5: (0.3608160417241994583772, 0.2302028474715309863012),
     4.0: (0.05677636284727056865821, 0.02380927170145173925568),
     40.0: (0.0006249999999999998911359, 0.00003124999999999988834794),
     700.0: (0.000002040816326530612244898, 5.830903790087463556851e-9),
+    1e6: (1.0e-12, 2.0e-18),
 }
 
 
@@ -39,8 +44,8 @@ class TestOmegas:
 
     def test_against_extended_precision(self):
         for x, (w1, w2) in OMEGA_REF.items():
-            assert omega1(x) == pytest.approx(w1, rel=1e-12)
-            assert omega2(x) == pytest.approx(w2, rel=1e-12)
+            assert omega1(x) == pytest.approx(w1, rel=2e-14, abs=0.0)
+            assert omega2(x) == pytest.approx(w2, rel=2e-14, abs=0.0)
 
     def test_omega1_is_probability_density(self):
         total = quad(omega1, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)[0]

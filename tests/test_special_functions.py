@@ -61,6 +61,8 @@ class TestRegLowerGamma:
             log_reg_lower_gamma(-1.0, 1.0)
         with pytest.raises(ValueError):
             log_reg_lower_gamma(1.0, -0.5)
+        with pytest.raises(ValueError):
+            log_reg_lower_gamma(math.inf, 1.0)
 
 
 class TestInverse:
@@ -92,6 +94,8 @@ class TestInverse:
             inv_log_reg_lower_gamma(1.0, math.nan)
         with pytest.raises(ValueError):
             inv_log_reg_lower_gamma(0.0, -0.5)
+        with pytest.raises(ValueError):
+            inv_log_reg_lower_gamma(math.inf, -1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
