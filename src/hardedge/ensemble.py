@@ -272,6 +272,12 @@ def cdf_u(params: EnsembleParams, j, t):
     return float(out) if scalar or out.ndim == 0 else out
 
 
+def _log_norm(params: EnsembleParams, s):
+    """ln(a^2 beta) = ln(c^s beta / (Gamma(s) P(s, c))), the constant of ln f_j."""
+    log_a2 = s * math.log(params.c) - gammaln(s) - log_reg_lower_gamma(s, params.c)
+    return log_a2 + math.log(params.beta)
+
+
 def log_density_u(params: EnsembleParams, j, x):
     """ln f_j(x) for the law of U_j, assembled fully in log space.
 
@@ -283,13 +289,7 @@ def log_density_u(params: EnsembleParams, j, x):
     if np.any(np.isnan(xa)) or np.any(xa < 0.0):
         raise ValueError(f"x must be >= 0, got {x!r}")
     s = (ja + params.alpha) / params.b
-    log_a2 = s * math.log(params.c) - gammaln(s) - log_reg_lower_gamma(s, params.c)
-    out = (
-        log_a2
-        + math.log(params.beta)
-        - params.beta * s * xa
-        - params.c * np.exp(-params.beta * xa)
-    )
+    out = _log_norm(params, s) - params.beta * s * xa - params.c * np.exp(-params.beta * xa)
     scalar = np.isscalar(j) and np.isscalar(x)
     return float(out) if scalar or np.ndim(out) == 0 else out
 
@@ -363,8 +363,12 @@ def exact_tv_exponential(params: EnsembleParams, j) -> float:
     """Exact TV distance (1/2) * int |f_U - f_E| between U_j and its
     exponential approximant, by adaptive quadrature; oracle for the bound."""
     rate = exp_rate(params, j)
+    s = (j + params.alpha) / params.b
+    beta, c = params.beta, params.c
+    log_norm = _log_norm(params, s)
     val, _ = quad(
-        lambda x: abs(density_u(params, j, x) - rate * math.exp(-rate * x)),
+        lambda x: abs(math.exp(log_norm - beta * s * x - c * math.exp(-beta * x))
+                      - rate * math.exp(-rate * x)),
         0.0,
         np.inf,
         epsabs=1e-11,

@@ -10,12 +10,24 @@ from scipy.integrate import quad
 from hardedge import ensemble as ens
 from hardedge.ensemble import EnsembleParams, RadialConfiguration
 from hardedge.limit_law import omega1
+from hardedge.special_functions import log_reg_lower_gamma
 
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
 
 # theta for alpha=-0.5, b=2, rho=0.6, n=50, j=1; frozen exact fraction
 # (1 - 0.5) / (2 * 50 * 0.6^4) = 25/648, evaluated with mpmath at 50 digits.
 THETA_EDGE = 0.03858024691358024691358025
+
+LARGE = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
+
+
+def _ks_distance(params: EnsembleParams, j: int, uni: np.ndarray) -> float:
+    """KS distance between inverse-CDF draws of U_j and its exact CDF."""
+    shapes = np.full(uni.size, (j + params.alpha) / params.b)
+    draws = np.sort(ens._u_from_uniform(params, shapes, log_reg_lower_gamma(shapes, params.c), uni))
+    cdf = ens.cdf_u(params, j, draws)
+    grid = np.arange(1, draws.size + 1) / draws.size
+    return float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / draws.size)))))
 
 
 class TestParams:
@@ -52,7 +64,7 @@ class TestTheta:
 
     def test_edge_parameters(self):
         p = EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=50)
-        assert ens.theta(p, 1) == pytest.approx(THETA_EDGE, rel=1e-14)
+        assert ens.theta(p, 1) == pytest.approx(THETA_EDGE, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("j", [0, 101, -3])
     def test_index_out_of_range(self, j):
@@ -98,17 +110,22 @@ class TestSampling:
         # suite runs the full 1e5-draw version for three particles.
         j, ndraw = 60, 20000
         rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
-        uni = rng.random(ndraw)
-        shapes = np.full(ndraw, (j + CANON.alpha) / CANON.b)
-        from hardedge.special_functions import log_reg_lower_gamma
-        draws = ens._u_from_uniform(
-            CANON, shapes, log_reg_lower_gamma(shapes, CANON.c), uni
-        )
-        draws.sort()
-        cdf = ens.cdf_u(CANON, j, draws)
-        grid = np.arange(1, ndraw + 1) / ndraw
-        ks = np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / ndraw))))
-        assert ks < 1.63 / math.sqrt(ndraw)
+        assert _ks_distance(CANON, j, rng.random(ndraw)) < 1.63 / math.sqrt(ndraw)
+
+    @pytest.mark.parametrize("j", [40_000, 90_000])
+    def test_empirical_law_ks_deep_tail(self, j):
+        # both particles sit on the deep-tail inverse (P(s_j, c) < 1e-280)
+        ndraw = 100_000
+        uni = ens._uniform_stream(42, j, ndraw)
+        assert _ks_distance(LARGE, j, uni) < 1.63 / math.sqrt(ndraw)
+
+    def test_round_trip_at_large_n(self):
+        # cdf_u(U_j) = 1 - u for every particle of an n = 1e5 configuration,
+        # about 70% of which take the deep-tail inverse
+        uni = np.clip(ens._uniform_stream(42, 0, LARGE.n), ens._U_LO, ens._U_HI)
+        u = ens.sample_configuration(LARGE, 42).u
+        cdf = ens.cdf_u(LARGE, np.arange(1, LARGE.n + 1), u)
+        assert np.max(np.abs(cdf - (1.0 - uni))) <= 1e-9
 
     def test_low_coordinate_fraction_concentrates(self):
         # the fraction of coordinates below 50 matches its exact finite-n
@@ -146,9 +163,9 @@ class TestExactLaws:
         # share (theta, c, beta, shape), hence the same law
         p1, j1 = CANON, 40
         p2, j2 = EnsembleParams(alpha=0.0, b=2.0, rho=8.0 ** -0.25, n=200), 80
-        assert p2.c == pytest.approx(p1.c, rel=1e-12)
-        assert p2.beta == pytest.approx(p1.beta, rel=1e-12)
-        assert ens.theta(p2, j2) == pytest.approx(ens.theta(p1, j1), rel=1e-12)
+        assert p2.c == pytest.approx(p1.c, rel=1e-12, abs=0.0)
+        assert p2.beta == pytest.approx(p1.beta, rel=1e-12, abs=0.0)
+        assert ens.theta(p2, j2) == pytest.approx(ens.theta(p1, j1), rel=1e-12, abs=0.0)
         for t in (0.1, 1.0, 3.0, 8.0):
             assert ens.cdf_u(p2, j2, t) == pytest.approx(ens.cdf_u(p1, j1, t), abs=1e-12)
 
@@ -183,11 +200,11 @@ class TestExactLaws:
 class TestExponentialApproximation:
     def test_rate_direct_arithmetic(self):
         # theta = 2 at j = 50: rate = (0.25/0.75)*(2-1) = 1/3
-        assert ens.exp_rate(CANON, 50) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert ens.exp_rate(CANON, 50) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_rate_one_at_algebraic_threshold(self):
         # theta = 1 + kappa/(b rho^2b) = 4 at j = 100 gives rate exactly 1
-        assert ens.exp_rate(CANON, 100) == pytest.approx(1.0, rel=1e-12)
+        assert ens.exp_rate(CANON, 100) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_rate_requires_theta_above_one(self):
         with pytest.raises(ValueError):
@@ -215,6 +232,14 @@ class TestExponentialApproximation:
         exact = ens.exact_tv_exponential(CANON, 80)
         assert bound >= 0.0
         assert exact <= bound
+
+    def test_exact_tv_matches_density_quadrature(self):
+        # the same integral with f_U taken from density_u at every node
+        for p, j in ((CANON, 80), (EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=2000), 1500)):
+            rate = ens.exp_rate(p, j)
+            ref = 0.5 * quad(lambda x: abs(ens.density_u(p, j, x) - rate * math.exp(-rate * x)),
+                             0.0, np.inf, epsabs=1e-11, epsrel=1e-9, limit=300)[0]
+            assert ens.exact_tv_exponential(p, j) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_tv_bound_decreases_at_fixed_theta(self):
         # theta = 2 sits at j = n/2 for these parameters

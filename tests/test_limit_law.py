@@ -39,8 +39,8 @@ def gauss_legendre_integral(f, a, b, order=200):
 
 class TestOmegas:
     def test_values_at_zero(self):
-        assert omega1(0.0) == pytest.approx(0.5, rel=1e-12)
-        assert omega2(0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert omega1(0.0) == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        assert omega2(0.0) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_against_extended_precision(self):
         for x, (w1, w2) in OMEGA_REF.items():
@@ -171,7 +171,7 @@ class TestTau:
     def test_tau_prime_closed_form_at_zero(self):
         law = LimitLaw(CANON, proc.phi_one())
         # tau'(0) = 1/(kappa * omega1(0)) = 2/kappa
-        assert law.tau_prime(0.0) == pytest.approx(2.0 / CANON.kappa, rel=1e-10)
+        assert law.tau_prime(0.0) == pytest.approx(2.0 / CANON.kappa, rel=1e-10, abs=0.0)
 
     def test_tau_prime_matches_finite_differences(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(0.5))

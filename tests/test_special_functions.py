@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv, gammaln
 
+from hardedge import ensemble as ens
 from hardedge import special_functions as sf
+from hardedge.ensemble import EnsembleParams
 from hardedge.special_functions import inv_log_reg_lower_gamma, log_reg_lower_gamma
 
 # P(1/2, 1/2) = erf(sqrt(1/2)), frozen from mpmath.erf at 50 digits.
@@ -68,7 +70,7 @@ class TestRegLowerGamma:
 class TestInverse:
     @pytest.mark.parametrize("p", [0.25, 0.9])
     def test_exponential_quantile(self, p):
-        assert p_inv_via_log(1.0, p) == pytest.approx(-math.log1p(-p), rel=1e-12)
+        assert p_inv_via_log(1.0, p) == pytest.approx(-math.log1p(-p), rel=1e-12, abs=0.0)
 
     def test_endpoints(self):
         assert inv_log_reg_lower_gamma(5.0, -math.inf) == 0.0
@@ -112,10 +114,10 @@ class TestLogSpace:
         for a in (0.5, 7.0, 250.0):
             for x in (a / 4, a / 2, a, 3 * a):
                 p = gammainc(a, x)
-                assert log_reg_lower_gamma(a, x) == pytest.approx(math.log(p), rel=1e-12)
+                assert log_reg_lower_gamma(a, x) == pytest.approx(math.log(p), rel=1e-12, abs=0.0)
 
     def test_deep_tail_against_extended_precision(self):
-        assert log_reg_lower_gamma(1600.0, 400.0) == pytest.approx(LOG_P_1600_400, rel=1e-13)
+        assert log_reg_lower_gamma(1600.0, 400.0) == pytest.approx(LOG_P_1600_400, rel=1e-13, abs=0.0)
 
     def test_zero_maps_to_minus_inf(self):
         assert log_reg_lower_gamma(3.0, 0.0) == -math.inf
@@ -132,7 +134,7 @@ class TestLogSpace:
     )
     def test_inverse_round_trip(self, a, q):
         x = inv_log_reg_lower_gamma(a, q)
-        assert log_reg_lower_gamma(a, x) == pytest.approx(q, rel=1e-12)
+        assert log_reg_lower_gamma(a, x) == pytest.approx(q, rel=1e-12, abs=0.0)
 
     def test_inverse_matches_linear_branch(self):
         for a in (2.0, 90.0):
@@ -153,3 +155,37 @@ class TestLogSpace:
         monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", 1)
         with pytest.raises(ArithmeticError):
             log_reg_lower_gamma(1600.0, 400.0)
+
+
+@pytest.fixture(scope="module")
+def deep_row():
+    """Deep-branch inputs (a, ln P target) of one n = 1e5 configuration row."""
+    params = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
+    shapes = params.shapes()
+    uni = np.clip(ens._uniform_stream(42, 0, params.n), ens._U_LO, ens._U_HI)
+    target = np.log(uni) + log_reg_lower_gamma(shapes, params.c)
+    deep = target <= math.log(sf._LINEAR_FLOOR)
+    return shapes[deep], target[deep]
+
+
+class TestDeepInverse:
+    def test_converges_within_four_sweeps(self, deep_row, monkeypatch):
+        # a start that drops e^{-x}, stopped by a step test, stalls and
+        # bisects on this row: 56 sweeps
+        a, q = deep_row
+        monkeypatch.setattr(sf, "_MAX_NEWTON_ITER", 4)
+        x = inv_log_reg_lower_gamma(a, q)
+        assert np.all(np.abs(log_reg_lower_gamma(a, x) - q) <= 1e-12 * np.abs(q))
+
+    def test_chunk_split_is_bit_identical(self, deep_row, monkeypatch):
+        a, q = deep_row[0][::50], deep_row[1][::50]
+        whole = inv_log_reg_lower_gamma(a, q)
+        monkeypatch.setattr(sf, "_DEEP_CHUNK", 7)
+        assert np.array_equal(inv_log_reg_lower_gamma(a, q), whole)
+        singles = [inv_log_reg_lower_gamma(float(ai), float(qi)) for ai, qi in zip(a[::10], q[::10])]
+        assert np.array_equal(singles, whole[::10])
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sf, "_MAX_NEWTON_ITER", 1)
+        with pytest.raises(ArithmeticError):
+            inv_log_reg_lower_gamma(1600.0, -1017.0)
