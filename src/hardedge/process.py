@@ -158,9 +158,6 @@ class StepProcess:
     def cumulative(self) -> np.ndarray:
         return self._cumulative
 
-    def total_mass(self) -> float:
-        return float(self._cumulative[-1]) if len(self._cumulative) else 0.0
-
     def value(self, t):
         """S(t), right-continuous; t >= 0 or +inf."""
         ta = np.asarray(t, dtype=float)
@@ -214,13 +211,28 @@ def _tail_cutoff(params: EnsembleParams, eps: float) -> float:
     return float(np.max(ensemble._u_from_uniform(params, shapes, lp_c, eps)))
 
 
+def _checked(integrate, f, a: float, b: float, what: str, **opts):
+    """integrate(f, a, b, **opts) for ``quad`` or ``quad_vec``, raising
+    ``ArithmeticError`` when the error estimate exceeds max(epsabs, epsrel *
+    max|value|)."""
+    val, err = integrate(f, a, b, **opts)
+    tol = max(opts["epsabs"], opts["epsrel"] * float(np.max(np.abs(val))))
+    if not err <= tol:
+        raise ArithmeticError(f"{what}: quadrature error estimate {err:.3g} exceeds {tol:.3g}")
+    return val
+
+
+_MEAN_QUAD = dict(epsabs=1e-10, epsrel=1e-12, norm="max")
+
+
 def mean_exact(params: EnsembleParams, phi: TestFunction, t) -> float:
     """Exact E S(t) = (1/n) sum_j int_0^t phi(x) f_j(x) dx.
 
     Adaptive Gauss-Kronrod on the vector integrand (one component per
-    particle), max-norm error controlled to 1e-10 per component.  t = +inf
-    is truncated at a point beyond the 1 - 1e-14 quantile of every particle,
-    which costs at most bound * 1e-14 per component.
+    particle), max-norm error controlled to 1e-10 per component; an error
+    estimate above that raises ``ArithmeticError``.  t = +inf is truncated at
+    a point beyond the 1 - 1e-14 quantile of every particle, which costs at
+    most bound * 1e-14 per component.
     """
     tf = float(t)
     if math.isnan(tf) or tf < 0.0:
@@ -241,11 +253,5 @@ def mean_exact(params: EnsembleParams, phi: TestFunction, t) -> float:
         log_f = log_a2 + math.log(beta) - beta * shapes * x - c * math.exp(-beta * x)
         return phi(x) * np.exp(log_f)
 
-    vals, _err = quad_vec(integrand, 0.0, upper, epsabs=1e-10, epsrel=1e-12, norm="max")
-    return float(np.mean(vals))
-
-
-def mean_exact_counting(params: EnsembleParams, t) -> float:
-    """(1/n) sum_j Prob[U_j <= t]: independent closed-ish form for phi = 1."""
-    j = np.arange(1, params.n + 1)
-    return float(np.mean(ensemble.cdf_u(params, j, float(t))))
+    return float(np.mean(_checked(quad_vec, integrand, 0.0, upper, f"mean_exact({tf!r})",
+                                  **_MEAN_QUAD)))

@@ -99,9 +99,9 @@ def inv_log_reg_lower_gamma(a, log_p):
     Halley steps on the series (bisection when a step leaves the bracket)
     run until the residual reaches the rounding scale of its evaluation,
     usually after two series sweeps.  Each entry is solved on its own, so
-    results do not depend on the batch or the slicing; more than
-    ``_MAX_NEWTON_ITER`` sweeps raise ``ArithmeticError``.  log_p = -inf
-    maps to 0, log_p = 0 maps to +inf.
+    results do not depend on the batch or the slicing.  More than
+    ``_MAX_NEWTON_ITER`` sweeps, or a root x below the smallest normal double,
+    raise ``ArithmeticError``.  log_p = -inf maps to 0, log_p = 0 to +inf.
     """
     aa = _as_float_array(a, "a")
     la = np.asarray(log_p, dtype=float)
@@ -145,9 +145,13 @@ def _inv_log_p_chunk(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         r = x / (a + 1.0)
         tn = t - (a * t - x - np.log1p(-r) - c0) / (a - x + r / (1.0 - r))
         t = np.where(tn < l1, tn, 0.5 * (t + l1))
-    # P(a, a) > 0.3 for every a > 0, far above the deep threshold, so ln(a)
-    # is a valid upper bracket and keeps the series in its fast regime.
-    lo = np.full(a.shape, -700.0)
+    # P(a, x) <= x^a / Gamma(a+1) bounds the root below by c0 / a, which is
+    # the root to full precision where x would be subnormal.  P(a, a) > 0.3
+    # for every a > 0, far above the deep threshold, so ln(a) is a valid
+    # upper bracket and keeps the series in its fast regime.
+    lo = c0 / a
+    if np.any(lo < math.log(np.finfo(float).tiny)):
+        raise ArithmeticError("inv_log_reg_lower_gamma root lies below the smallest normal double")
     hi = np.log(a)
     t = np.clip(t, lo, hi)
     # Halley steps on f(t) = ln P(e^t) - q with f' = exp(a t - x - lnGamma(a)

@@ -108,6 +108,14 @@ class TestLimitCommand:
         assert len(m1_inf) == 1
         assert float(m1_inf[0][3]) == pytest.approx(0.75, abs=1e-9)  # kappa
 
+    def test_infinite_grid_point(self, tmp_path):
+        # phi = 1: S(inf) = 1 is deterministic, so cov(1, inf) = 0
+        out = tmp_path / "limit.csv"
+        assert main(["limit", "--grid", "1,inf", "--phi", "one", "--out", str(out)]) == 0
+        cov = {(r[1], r[2]): float(r[3]) for r in csv.reader(out.open()) if r[0] == "cov"}
+        assert cov[("1.0", "inf")] == pytest.approx(0.0, abs=1e-12)
+        assert cov[("inf", "inf")] == pytest.approx(0.0, abs=1e-12)
+
     def test_empty_grid_exits_2(self, tmp_path):
         code = main(["limit", "--grid", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2

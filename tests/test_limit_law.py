@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -111,6 +112,14 @@ class TestMoments:
         with pytest.raises(ValueError):
             law.m_k(3, 1.0)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # QUADPACK stops at one subinterval with its estimate above tolerance
+        monkeypatch.setitem(ll._QUAD_OPTS, "limit", 1)
+        law = LimitLaw(CANON, proc.phi_rational())
+        with pytest.raises(ArithmeticError):
+            law.m1(math.inf)
+
 
 class TestM12:
     def test_degenerate_edges(self):
@@ -215,19 +224,19 @@ class TestHittingCovariance:
 class TestGaussianSampling:
     def test_fixed_seed_reproducibility(self):
         law = LimitLaw(CANON, proc.phi_one())
-        g1 = sample_gaussian_path(law.cov_statistic, [0.5, 1.0, 2.0], seed=7)
-        g2 = sample_gaussian_path(law.cov_statistic, [0.5, 1.0, 2.0], seed=7)
+        grid = [0.5, 1.0, 2.0]
+        gram = law.gram_statistic(grid)
+        g1 = sample_gaussian_path(gram, grid, seed=7)
+        g2 = sample_gaussian_path(gram, grid, seed=7)
         assert np.array_equal(g1.values, g2.values)
-        assert np.any(
-            sample_gaussian_path(law.cov_statistic, [0.5, 1.0, 2.0], seed=8).values
-            != g1.values
-        )
+        assert np.any(sample_gaussian_path(gram, grid, seed=8).values != g1.values)
 
     def test_single_point_grid_is_scalar_normal(self):
         law = LimitLaw(CANON, proc.phi_one())
         var = law.cov_statistic(1.0, 1.0)
+        gram = law.gram_statistic([1.0])
         draws = np.array([
-            sample_gaussian_path(law.cov_statistic, [1.0], seed=3, stream=i).values[0]
+            sample_gaussian_path(gram, [1.0], seed=3, stream=i).values[0]
             for i in range(4000)
         ])
         assert np.var(draws, ddof=1) == pytest.approx(var, rel=0.15)
@@ -241,7 +250,7 @@ class TestGaussianSampling:
         chol = np.linalg.cholesky(gram)
         key = np.array([np.uint64(11), np.uint64(4)], dtype=np.uint64)
         z = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
-        got = sample_gaussian_path(law.cov_statistic, grid, seed=11, stream=4)
+        got = sample_gaussian_path(gram, grid, seed=11, stream=4)
         assert np.array_equal(got.values, chol @ z)
 
     def test_empirical_covariance_monte_carlo(self):
@@ -261,25 +270,101 @@ class TestGaussianSampling:
                 assert abs(emp[i, j] - gram[i, j]) <= scale * entry_scale
 
     def test_jitter_handles_degenerate_grid(self):
-        # duplicate-free but perfectly correlated kernel -> singular Gram
-        kernel = lambda a, b: 1.0
-        got = sample_gaussian_path(kernel, [0.5, 1.0], seed=0)
+        # duplicate-free but perfectly correlated points -> singular Gram
+        got = sample_gaussian_path(np.ones((2, 2)), [0.5, 1.0], seed=0)
         assert np.all(np.isfinite(got.values))
 
     def test_grid_validation(self):
         law = LimitLaw(CANON, proc.phi_one())
         with pytest.raises(ValueError):
-            sample_gaussian_path(law.cov_statistic, [], seed=0)
+            sample_gaussian_path(law.gram_statistic([]), [], seed=0)
         with pytest.raises(ValueError):
-            sample_gaussian_path(law.cov_statistic, [2.0, 1.0], seed=0)
+            sample_gaussian_path(law.gram_statistic([2.0, 1.0]), [2.0, 1.0], seed=0)
 
     def test_sample_serialization(self):
         import json as _json
         law = LimitLaw(CANON, proc.phi_one())
-        got = sample_gaussian_path(law.cov_statistic, [0.5, 1.0], seed=2)
+        got = sample_gaussian_path(law.gram_statistic([0.5, 1.0]), [0.5, 1.0], seed=2)
         lines = got.to_csv().strip().splitlines()
         assert lines[0] == "t,value"
         assert float(lines[1].split(",")[0]) == 0.5
         payload = _json.loads(got.to_json())
         assert payload["grid"] == [0.5, 1.0]
         assert payload["values"] == [float(v) for v in got.values]
+
+
+LIMIT_TABLE = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500)
+
+
+def _rational_laplace(k, t, s):
+    """s-Laplace transforms of phi^k = (1+x)^-k over [0, t] (mpmath): E1
+    differences for k = 1, then integration by parts for k = 2."""
+    phi1 = mp.exp(s) * (mp.e1(s) - (0 if t == mp.inf else mp.e1(s * (1 + t))))
+    if k == 1:
+        return phi1
+    return 1 - (0 if t == mp.inf else mp.exp(-s * t) / (1 + t)) - s * phi1
+
+
+class TestRateMixture:
+    """The Gram matrix as a mixture over exponential rates s of Exp(s)
+    covariances, checked against closed forms and an mpmath oracle."""
+
+    def test_rational_against_mpmath(self):
+        # m2(t) = kappa int_0^1 s Phi_2(t, s) ds and
+        # m12(t1, t2) = kappa int_0^1 s^2 Phi_1(t1, s) Phi_1(t2, s) ds
+        law = LimitLaw(LIMIT_TABLE, proc.phi_rational())
+        grid = np.logspace(-1.0, 1.5, 6)
+        with mp.workdps(20):
+            kappa = mp.mpf(LIMIT_TABLE.kappa)
+            pts = [mp.mpf(float(t)) for t in grid] + [mp.inf]
+            m2 = [kappa * mp.quad(lambda s: s * _rational_laplace(2, t, s), [0, 1])
+                  for t in pts]
+            m12 = [[kappa * mp.quad(lambda s: s * s * _rational_laplace(1, a, s)
+                                    * _rational_laplace(1, b, s), [0, 1])
+                    for b in pts] for a in pts]
+            ref_m12 = np.array(m12, dtype=float)
+            ref_gram = np.array([[m2[min(i, j)] - m12[i][j] for j in range(6)]
+                                 for i in range(6)], dtype=float)
+        gram = law.gram_statistic(grid)
+        assert gram == pytest.approx(ref_gram, rel=1e-12, abs=0.0)
+        ext = np.append(grid, np.inf)
+        got = np.array([[law.m12(a, b) for b in ext] for a in ext])
+        assert got == pytest.approx(ref_m12, rel=1e-12, abs=0.0)
+
+    def test_counting_closed_form(self):
+        # phi = 1: cov(t1, t2) = kappa [g(t1 v t2) - g(t1 + t2)], g(t) = (1 - e^-t)/t
+        law = LimitLaw(LIMIT_TABLE, proc.phi_one())
+        t = np.logspace(-2.0, 4.0, 12)
+
+        def g(x):
+            return -np.expm1(-x) / x
+
+        ref = LIMIT_TABLE.kappa * (g(np.maximum.outer(t, t)) - g(np.add.outer(t, t)))
+        gram = law.gram_statistic(t)
+        assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.diag(ref))
+
+    @pytest.mark.parametrize("phi", [
+        proc.phi_one(), proc.phi_rational(), proc.phi_exp_decay(0.5),
+        proc.phi_from_table([0.0, 1.0, 3.0, 10.0], [1.0, 0.4, 2.0, 0.7]),
+    ], ids=["one", "rational", "exp_decay", "table"])
+    def test_large_grid_psd_and_symmetric(self, phi):
+        law = LimitLaw(LIMIT_TABLE, phi)
+        gram = law.gram_statistic(np.logspace(-2.0, 4.0, 64))
+        assert np.array_equal(gram, gram.T)
+        assert np.min(np.linalg.eigvalsh(gram)) >= -1e-14 * np.max(np.diag(gram))
+
+    def test_unsorted_points_match_sorted(self):
+        law = LimitLaw(LIMIT_TABLE, proc.phi_rational())
+        grid = np.array([0.5, 1.0, 2.0, 4.0])
+        perm = np.array([2, 0, 3, 1])
+        gram = law.gram_statistic(grid)
+        assert law.gram_statistic(grid[perm]) == pytest.approx(
+            gram[np.ix_(perm, perm)], rel=1e-14, abs=0.0)
+        assert law.cov_statistic(4.0, 0.5) == law.cov_statistic(0.5, 4.0)
+
+    def test_table_error_check_raises(self, monkeypatch):
+        # below quad_vec's own rounding estimate the tolerance is out of reach
+        monkeypatch.setattr(ll, "_TABLE_EPSABS", 1e-20)
+        law = LimitLaw(CANON, proc.phi_rational())
+        with pytest.raises(ArithmeticError):
+            law.gram_statistic([0.5, 2.0])

@@ -25,6 +25,12 @@ def brute_hitting(locations, cumulative, h):
     return math.inf
 
 
+def mean_exact_counting(params: EnsembleParams, t) -> float:
+    """(1/n) sum_j Prob[U_j <= t]: independent closed-ish form for phi = 1."""
+    j = np.arange(1, params.n + 1)
+    return float(np.mean(ens.cdf_u(params, j, float(t))))
+
+
 def make_config(u, params=None):
     u = np.asarray(u, dtype=float)
     params = params or EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=len(u))
@@ -177,8 +183,16 @@ class TestMeanExact:
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
         for t in (0.5, 2.0, 9.0):
             assert mean_exact(p, proc.phi_one(), t) == pytest.approx(
-                proc.mean_exact_counting(p, t), abs=1e-9
+                mean_exact_counting(p, t), abs=1e-9
             )
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # one Gauss-Kronrod rule over the whole truncated half-line, never
+        # subdivided: its error estimate is far above the tolerance
+        monkeypatch.setitem(proc._MEAN_QUAD, "limit", 1)
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
+        with pytest.raises(ArithmeticError):
+            mean_exact(p, proc.phi_one(), math.inf)
 
     def test_against_monte_carlo(self):
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)

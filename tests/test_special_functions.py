@@ -189,3 +189,14 @@ class TestDeepInverse:
         monkeypatch.setattr(sf, "_MAX_NEWTON_ITER", 1)
         with pytest.raises(ArithmeticError):
             inv_log_reg_lower_gamma(1600.0, -1017.0)
+
+    def test_root_near_smallest_normal(self):
+        # x = e^-705 is a normal double below the old fixed bracket end t = -700
+        x = math.exp(-705.0)
+        assert inv_log_reg_lower_gamma(3.0, log_reg_lower_gamma(3.0, x)) == pytest.approx(
+            x, rel=1e-12, abs=0.0)
+
+    def test_root_below_smallest_normal_raises(self):
+        # the root is near e^-2000, which underflows
+        with pytest.raises(ArithmeticError):
+            inv_log_reg_lower_gamma(0.5, -1000.0)
