@@ -12,7 +12,6 @@ from .ensemble import (
     exp_rate,
     sample_batch,
     sample_configuration,
-    sample_radius_u,
     theta,
     tv_upper_bound,
     weight_w,

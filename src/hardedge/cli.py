@@ -144,10 +144,11 @@ def _limit_rows(law: LimitLaw, grid, levels) -> list:
     rows.append(("m1", float("inf"), None, law.mass_limit))
     rows += _upper_triangle("cov", grid, law.gram_statistic(grid))
     if law.phi.positive and levels:
-        for h in levels:
-            rows.append(("tau", float(h), None, law.tau(h)))
-            rows.append(("tau_prime", float(h), None, law.tau_prime(h)))
-        rows += _upper_triangle("cov_hitting", levels, law.gram_hitting(levels))
+        hit = law.hitting(levels)
+        for h, tau, tau_prime in zip(levels, hit.tau, hit.tau_prime):
+            rows.append(("tau", float(h), None, float(tau)))
+            rows.append(("tau_prime", float(h), None, float(tau_prime)))
+        rows += _upper_triangle("cov_hitting", levels, hit.gram)
     return rows
 
 

@@ -7,17 +7,27 @@ variables.  In hard-edge coordinates the j-th particle is
     U_j = -(n * kappa / b) * ln R_j,
 
 where R_j follows a Gamma(shape s_j, rate c) law conditioned on R_j <= 1,
-with shape s_j = (j + alpha) / b and rate c = n * rho^(2b).  This module
-samples U_j exactly by inverse-CDF (never rejection: the mass beyond the
-truncation point dominates for high-index particles, so rejection would
-stall), evaluates the exact per-particle CDF/density in log space, and
-provides the exponential approximation of the high-index particles together
-with its total-variation diagnostics: the bound as a positive series, the
-exact distance by quadrature as its oracle.
+with shape s_j = (j + alpha) / b and rate c = n * rho^(2b).  Each particle
+is sampled exactly by the cheapest of three methods:
 
-Reproducibility: uniforms come from counter-based Philox streams keyed by
-(seed, stream), so a configuration is bit-identical for a fixed key no
-matter how sampling work is batched or scheduled.
+- high-index particles (s_j > c) by the paper's exponential coupling: the
+  density of U_j is rate e^{-rate x} w(x) / Z_j with w <= 1, so an
+  Exp(rate) proposal kept with probability w is exact, and it is rejected
+  with probability 1 - Z_j, the total-variation bound of the approximation;
+- low-index particles by a Gamma(s_j, 1) proposal kept when it lies below
+  the truncation point c, which it does with probability P(s_j, c);
+- the O(sqrt(c)) particles near theta = 1, where either rejection would
+  stall, by the inverse CDF.
+
+A particle takes a rejection method when that method keeps at least half of
+its proposals.  The module also evaluates the exact per-particle CDF/density
+in log space, and the exponential approximation's total-variation
+diagnostics: the bound as a positive series, the exact distance by
+quadrature as its oracle.
+
+Reproducibility: each configuration draws from its own counter-based Philox
+stream keyed by (seed, stream), in a fixed order, so it is bit-identical for
+a fixed key no matter how sampling work is batched or scheduled.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ __all__ = [
     "EnsembleParams",
     "RadialConfiguration",
     "theta",
-    "sample_radius_u",
     "sample_configuration",
     "sample_batch",
     "cdf_u",
@@ -52,9 +61,16 @@ __all__ = [
 ]
 
 # Uniforms are clamped into [2^-53, 1 - 2^-53] so the inverse CDF never sees
-# the p = 0 / p = 1 sentinels.
+# the p = 0 / p = 1 sentinels and no logarithm sees 0.
 _U_LO = 2.0**-53
 _U_HI = 1.0 - 2.0**-53
+
+# Smallest acceptance rate for which a particle is sampled by rejection; it
+# needs at most 1/_MIN_ACCEPT proposals on average.
+_MIN_ACCEPT = 0.5
+# Each retry round keeps an entry with probability >= _MIN_ACCEPT, so an
+# entry outlasts this many rounds with probability <= 2^-200.
+_MAX_ROUNDS = 200
 
 # The TV series needs at most about 9 sqrt(c) terms, reached as theta -> 1
 # (394 at n = 1e5 for theta > 1.1); more than this means a bug.
@@ -205,25 +221,113 @@ def _u_from_uniform(params: EnsembleParams, shapes, log_p_c, uniforms) -> np.nda
     return -params.u_scale * (np.log(x) - math.log(params.c))
 
 
-def sample_radius_u(params: EnsembleParams, j: int, uniform: float) -> float:
-    """One exact draw of U_j from its uniform, deterministic in (params, j, uniform)."""
-    ja = _check_index(params, j)
-    uf = float(uniform)
-    if not (0.0 < uf < 1.0):
-        raise ValueError(f"uniform must lie strictly inside (0, 1), got {uniform!r}")
-    s = (ja + params.alpha) / params.b
-    out = _u_from_uniform(params, s, log_reg_lower_gamma(s, params.c), uf)
-    return float(out)
+def _classes(params: EnsembleParams, shapes, log_p_c):
+    """Column indices of the exponential, gamma and inverse-window classes.
+
+    Z = (s - c) e^c c^{-s} Gamma(s) P(s, c) = 1 - TV is the acceptance rate of
+    the exponential proposal (s > c only), P(s, c) that of the gamma one.
+    """
+    c, log_min = params.c, math.log(_MIN_ACCEPT)
+    above = shapes > c
+    log_z = np.full(shapes.shape, -np.inf)
+    sa = shapes[above]
+    log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p_c[above]
+    exp = log_z >= log_min
+    gam = ~exp & (log_p_c >= log_min)
+    return np.flatnonzero(exp), np.flatnonzero(gam), np.flatnonzero(~(exp | gam))
 
 
-def _uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
+def _exp_proposal(params: EnsembleParams, rate, prop, accept):
+    """U = -ln(prop)/rate, kept when ln(accept) <= ln w(U) = -c (e^{-beta U} - 1 + beta U)."""
+    u = np.log(prop)
+    u /= -rate
+    bu = params.beta * u
+    log_w = np.expm1(-bu)
+    log_w += bu
+    log_w *= -params.c
+    return u, np.log(accept) <= log_w
+
+
+def _gamma_proposal(params: EnsembleParams, x):
+    """X ~ Gamma(s, 1) is c R, kept when R <= 1; U = -(n kappa / b) ln(X/c)."""
+    return -params.u_scale * (np.log(x) - math.log(params.c)), x <= params.c
+
+
+def _generator(seed: int, stream: int) -> np.random.Generator:
     if not (0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if not (0 <= int(stream) < 2**64):
         raise ValueError(f"stream must be a 64-bit unsigned integer, got {stream!r}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(count)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of stream (seed, stream)."""
+    return _generator(seed, stream).random(count)
+
+
+def _sample(params: EnsembleParams, js, seed: int, streams):
+    """U over the particles ``js`` (columns, repeats allowed), one row per
+    stream, and the first-round rejection counts of the exponential and
+    gamma classes.
+
+    Each row draws from its own generator, in this order: one uniform per
+    column (exponential proposals, inverse-CDF uniforms), one acceptance
+    uniform per exponential column, one Gamma(s) proposal per gamma column,
+    then per retry round, over the rejected entries in column order, their
+    proposal and acceptance uniforms and their gamma proposals.  A row
+    therefore depends only on (params, js, seed, its stream).
+    """
+    shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
+    log_p_c = log_reg_lower_gamma(shapes, params.c)
+    exp, gam, win = _classes(params, shapes, log_p_c)
+    rate = params.beta * (shapes[exp] - params.c)
+    shape_g = shapes[gam]
+    gens = [_generator(seed, s) for s in streams]
+    m, me = len(shapes), len(exp)
+    first = np.empty((len(gens), m + me))
+    x = np.empty((len(gens), len(gam)))
+    for r, gen in enumerate(gens):
+        first[r] = gen.random(m + me)
+        x[r] = gen.standard_gamma(shape_g)
+    np.maximum(first, _U_LO, out=first)
+
+    u = np.empty((len(gens), m))
+    u[:, win] = _u_from_uniform(params, shapes[win], log_p_c[win], first[:, win])
+    ue, ok_e = _exp_proposal(params, rate, first[:, exp], first[:, m:])
+    ug, ok_g = _gamma_proposal(params, x)
+    u[:, exp], u[:, gam] = ue, ug
+    rejected = (int(ok_e.size - np.count_nonzero(ok_e)), int(ok_g.size - np.count_nonzero(ok_g)))
+
+    e_rows, e_cols = np.nonzero(~ok_e)
+    g_rows, g_cols = np.nonzero(~ok_g)
+    row_ends = np.arange(len(gens) + 1)
+    rounds = 0
+    while e_rows.size or g_rows.size:
+        rounds += 1
+        if rounds > _MAX_ROUNDS:
+            raise ArithmeticError(f"rejection sampler still rejecting after {_MAX_ROUNDS} "
+                                  "retry rounds; this is a bug")
+        pu = np.empty((2, e_rows.size))
+        xg = np.empty(g_rows.size)
+        sg = shape_g[g_cols]
+        eo = np.searchsorted(e_rows, row_ends).tolist()
+        go = np.searchsorted(g_rows, row_ends).tolist()
+        for r in np.union1d(e_rows, g_rows).tolist():
+            e0, e1, g0, g1 = eo[r], eo[r + 1], go[r], go[r + 1]
+            if e1 > e0:
+                pu[:, e0:e1] = gens[r].random((2, e1 - e0))
+            if g1 > g0:
+                xg[g0:g1] = gens[r].standard_gamma(sg[g0:g1])
+        np.maximum(pu, _U_LO, out=pu)
+        ue, ok = _exp_proposal(params, rate[e_cols], pu[0], pu[1])
+        u[e_rows[ok], exp[e_cols[ok]]] = ue[ok]
+        e_rows, e_cols = e_rows[~ok], e_cols[~ok]
+        ug, ok = _gamma_proposal(params, xg)
+        u[g_rows[ok], gam[g_cols[ok]]] = ug[ok]
+        g_rows, g_cols = g_rows[~ok], g_cols[~ok]
+    return u, rejected
 
 
 def sample_configuration(params: EnsembleParams, seed: int, stream: int = 0) -> RadialConfiguration:
@@ -236,15 +340,10 @@ def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
     """Stack of configurations, one row per stream index.
 
     Row i equals ``sample_configuration(params, seed, streams[i]).u`` bit for
-    bit; batching only amortizes the special-function calls.
+    bit; batching only amortizes the per-parameter constants and the
+    arithmetic across rows.
     """
-    streams = list(streams)
-    uni = np.empty((len(streams), params.n))
-    for row, s in enumerate(streams):
-        uni[row] = _uniform_stream(seed, s, params.n)
-    shapes = params.shapes()
-    log_p_c = log_reg_lower_gamma(shapes, params.c)
-    return _u_from_uniform(params, shapes[None, :], log_p_c[None, :], uni)
+    return _sample(params, np.arange(1, params.n + 1), seed, streams)[0]
 
 
 def cdf_u(params: EnsembleParams, j, t):

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
@@ -43,6 +44,7 @@ __all__ = [
     "omega2",
     "LimitLaw",
     "GridSample",
+    "HittingLimit",
     "sample_gaussian_path",
 ]
 
@@ -125,6 +127,15 @@ class GridSample:
             "values": [float(v) for v in self.values],
         }
         return json.dumps(payload, sort_keys=True)
+
+
+class HittingLimit(NamedTuple):
+    """Limits of the hitting times at a list of levels h."""
+
+    tau: np.ndarray        # tau(h)
+    tau_prime: np.ndarray  # tau'(h)
+    gram: np.ndarray       # tau'(h_a) tau'(h_b) cov(tau(h_a), tau(h_b))
+    cross: np.ndarray      # [i, k] = -tau'(h_k) cov(t_i, tau(h_k)) at the times t_i
 
 
 class LimitLaw:
@@ -262,12 +273,20 @@ class LimitLaw:
         """Derivative of tau: 1 / (kappa * phi(tau(h)) * omega1(tau(h)))."""
         return 1.0 / float(self._m1_deriv(self.tau(h)))
 
-    def gram_hitting(self, levels) -> np.ndarray:
-        """Matrix tau'(h_a) tau'(h_b) cov(tau(h_a), tau(h_b)) over ``levels``,
-        with tau solved once per level."""
+    def hitting(self, levels, times=()) -> HittingLimit:
+        """tau, tau', the hitting-time Gram matrix over ``levels`` and the
+        cross-covariances with the statistic at ``times``; tau is solved once
+        per level."""
         tau = np.array([self.tau(h) for h in np.asarray(levels, dtype=float)])
-        d = 1.0 / self._m1_deriv(tau)
-        return np.outer(d, d) * self.gram_statistic(tau)
+        slope = self._m1_deriv(tau)
+        d = 1.0 / slope
+        cross = np.array([[-self.cov_statistic(t, th) / sl for th, sl in zip(tau, slope)]
+                          for t in times]).reshape(len(times), len(tau))
+        return HittingLimit(tau, d, np.outer(d, d) * self.gram_statistic(tau), cross)
+
+    def gram_hitting(self, levels) -> np.ndarray:
+        """Matrix tau'(h_a) tau'(h_b) cov(tau(h_a), tau(h_b)) over ``levels``."""
+        return self.hitting(levels).gram
 
     def cov_hitting(self, h1, h2) -> float:
         """Limit covariance of the scaled centered hitting time:
@@ -277,8 +296,7 @@ class LimitLaw:
     def cov_cross(self, t, h) -> float:
         """Limit cross-covariance between the statistic at time t and the
         hitting time at level h: -tau'(h) * cov(t, tau(h))."""
-        th = self.tau(h)
-        return -self.cov_statistic(t, th) / float(self._m1_deriv(th))
+        return float(self.hitting([h], [t]).cross[0, 0])
 
 
 def _cholesky_with_jitter(gram: np.ndarray) -> np.ndarray:

@@ -570,7 +570,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     cross_times = np.asarray(config.cross_times, dtype=float)
     M = config.replicates
 
-    tau = np.array([law.tau(h) for h in levels])
+    hit = law.hitting(levels, cross_times)
     S, _, Q = _simulate_statistic(config, params, phi, cross_times, levels=levels)
     center = np.array([proc.mean_exact(params, phi, t) for t in cross_times])
     X = math.sqrt(params.n) * (S - center)
@@ -587,12 +587,12 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     ))
 
     finite = np.all(np.isfinite(Q), axis=1)
-    Y = math.sqrt(params.n) * (Q[finite] - tau)
+    Y = math.sqrt(params.n) * (Q[finite] - hit.tau)
     Xf = X[finite]
     mf = int(finite.sum())
     zs = []
     covQ = np.cov(Y.T, ddof=1).reshape(len(levels), len(levels))
-    gramQ = law.gram_hitting(levels)
+    gramQ = hit.gram
     seQ = _cov_se(covQ, mf)
     for i1 in range(len(levels)):
         for i2 in range(i1, len(levels)):
@@ -618,7 +618,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
         for it, t in enumerate(cross_times):
             for ih, h in enumerate(levels):
                 c = float(np.cov(Xf[:, it], Y[:, ih], ddof=1)[0, 1])
-                target = law.cov_cross(t, h)
+                target = float(hit.cross[it, ih])
                 se = math.sqrt((varX[it] * covQ[ih, ih] + c * c) / mf)
                 z = (c - target) / se
                 rows.append(_row("cross_covariance", n=params.n, arg1=t, arg2=h,

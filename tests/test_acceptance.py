@@ -74,13 +74,18 @@ def _draws_for_particle(params: EnsembleParams, j: int, seed: int, count: int,
     return np.concatenate(pieces)
 
 
+def _sampler_draws(params: EnsembleParams, j: int, seed: int, count: int) -> np.ndarray:
+    """``count`` draws of U_j through the sampler: stream j, j in every column."""
+    return ens._sample(params, np.full(count, j), seed, [j])[0][0]
+
+
 def test_criterion_2_sampler_law_ks():
     t0 = time.perf_counter()
     ndraw = 100_000
     crit = 1.63 / math.sqrt(ndraw)
     stats = {}
     for j in (30, 60, 90):
-        draws = _draws_for_particle(CANON, j, MASTER_SEED, ndraw)
+        draws = _sampler_draws(CANON, j, MASTER_SEED, ndraw)
         stats[j] = _ks_distance(CANON, j, draws)
     elapsed = time.perf_counter() - t0
     ok = all(v < crit for v in stats.values()) and elapsed < 10.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hardedge import ensemble as ens
+from hardedge import special_functions as sf
 from hardedge.ensemble import EnsembleParams, RadialConfiguration
 from hardedge.limit_law import omega1
 from hardedge.special_functions import log_reg_lower_gamma
@@ -20,14 +21,49 @@ THETA_EDGE = 0.03858024691358024691358025
 
 LARGE = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
 
+# alpha from -0.9 to 3, b from 0.5 to 3, rho from 0.1 to 0.9, n from 50 to 1e5
+SPREAD = [
+    LARGE,
+    EnsembleParams(alpha=-0.9, b=0.5, rho=0.9, n=1000),
+    EnsembleParams(alpha=3.0, b=3.0, rho=0.8, n=500),
+    EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=50),
+    EnsembleParams(alpha=1.0, b=1.0, rho=0.1, n=10_000),
+    EnsembleParams(alpha=0.5, b=0.5, rho=0.3, n=2000),
+]
+
+
+def sample_radius_u(params: EnsembleParams, j: int, uniform: float) -> float:
+    """One inverse-CDF draw of U_j from its uniform, deterministic in (params, j, uniform)."""
+    ja = ens._check_index(params, j)
+    uf = float(uniform)
+    if not (0.0 < uf < 1.0):
+        raise ValueError(f"uniform must lie strictly inside (0, 1), got {uniform!r}")
+    s = (ja + params.alpha) / params.b
+    return float(ens._u_from_uniform(params, s, log_reg_lower_gamma(s, params.c), uf))
+
+
+def _ks_of_draws(params: EnsembleParams, j: int, draws: np.ndarray) -> float:
+    draws = np.sort(draws)
+    cdf = ens.cdf_u(params, j, draws)
+    grid = np.arange(1, draws.size + 1) / draws.size
+    return float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / draws.size)))))
+
 
 def _ks_distance(params: EnsembleParams, j: int, uni: np.ndarray) -> float:
     """KS distance between inverse-CDF draws of U_j and its exact CDF."""
     shapes = np.full(uni.size, (j + params.alpha) / params.b)
-    draws = np.sort(ens._u_from_uniform(params, shapes, log_reg_lower_gamma(shapes, params.c), uni))
-    cdf = ens.cdf_u(params, j, draws)
-    grid = np.arange(1, draws.size + 1) / draws.size
-    return float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / draws.size)))))
+    return _ks_of_draws(params, j, ens._u_from_uniform(
+        params, shapes, log_reg_lower_gamma(shapes, params.c), uni))
+
+
+def _particle_draws(params: EnsembleParams, j: int, seed: int, count: int) -> np.ndarray:
+    """``count`` draws of U_j through the sampler: one stream, j in every column."""
+    return ens._sample(params, np.full(count, j), seed, [j])[0][0]
+
+
+def _classes(params: EnsembleParams):
+    shapes = params.shapes()
+    return ens._classes(params, shapes, log_reg_lower_gamma(shapes, params.c))
 
 
 class TestParams:
@@ -74,23 +110,23 @@ class TestTheta:
 
 class TestSampling:
     def test_uniform_near_one_gives_small_u(self):
-        u_hi = ens.sample_radius_u(CANON, 40, 1.0 - 1e-12)
-        u_mid = ens.sample_radius_u(CANON, 40, 0.5)
+        u_hi = sample_radius_u(CANON, 40, 1.0 - 1e-12)
+        u_mid = sample_radius_u(CANON, 40, 0.5)
         assert 0.0 <= u_hi < 1e-6
         assert u_hi < u_mid  # U strictly decreasing in the uniform
 
     def test_radius_recovery_in_unit_interval(self):
         for j in (1, 25, 60, 100):
             for uni in (0.01, 0.37, 0.93):
-                u = ens.sample_radius_u(CANON, j, uni)
+                u = sample_radius_u(CANON, j, uni)
                 r = math.exp(-CANON.b * u / (CANON.n * CANON.kappa))
                 assert 0.0 < r <= 1.0
 
     def test_invalid_uniform(self):
         with pytest.raises(ValueError):
-            ens.sample_radius_u(CANON, 10, 0.0)
+            sample_radius_u(CANON, 10, 0.0)
         with pytest.raises(ValueError):
-            ens.sample_radius_u(CANON, 10, 1.0)
+            sample_radius_u(CANON, 10, 1.0)
 
     def test_determinism_and_sensitivity(self):
         c1 = ens.sample_configuration(CANON, 123)
@@ -120,10 +156,11 @@ class TestSampling:
         assert _ks_distance(LARGE, j, uni) < 1.63 / math.sqrt(ndraw)
 
     def test_round_trip_at_large_n(self):
-        # cdf_u(U_j) = 1 - u for every particle of an n = 1e5 configuration,
-        # about 70% of which take the deep-tail inverse
+        # cdf_u(U_j) = 1 - u for the inverse map of every particle of an
+        # n = 1e5 row of uniforms, about 70% of which take the deep-tail inverse
         uni = np.clip(ens._uniform_stream(42, 0, LARGE.n), ens._U_LO, ens._U_HI)
-        u = ens.sample_configuration(LARGE, 42).u
+        shapes = LARGE.shapes()
+        u = ens._u_from_uniform(LARGE, shapes, log_reg_lower_gamma(shapes, LARGE.c), uni)
         cdf = ens.cdf_u(LARGE, np.arange(1, LARGE.n + 1), u)
         assert np.max(np.abs(cdf - (1.0 - uni))) <= 1e-9
 
@@ -144,6 +181,68 @@ class TestSampling:
                 assert abs(float(per_rep.mean()) - exact) < 5 * se
         assert gaps[1] < gaps[0]
         assert gaps[1] < 0.02
+
+
+class TestRejectionSampler:
+    def test_classes_at_canon(self):
+        # c = 25: gamma class up to theta = 1, inverse window j = 26, 27,
+        # exponential class from j = 28 on
+        exp, gam, win = _classes(CANON)
+        assert np.array_equal(gam + 1, np.arange(1, 26))
+        assert np.array_equal(win + 1, [26, 27])
+        assert np.array_equal(exp + 1, np.arange(28, 101))
+
+    @pytest.mark.parametrize("j", [28, 100, 25, 26])
+    def test_particle_law_ks(self, j):
+        # exponential class just above its threshold (j = 28, TV bound 0.49)
+        # and at theta = 4; gamma class just below its threshold (j = 25,
+        # P(s, c) = 0.53); inverse window at theta = 1.04
+        ndraw = 100_000
+        draws = _particle_draws(CANON, j, 7, ndraw)
+        assert _ks_of_draws(CANON, j, draws) < 1.63 / math.sqrt(ndraw)
+
+    def test_exponential_rejections_match_tv_bound(self):
+        # each first-round exponential proposal is rejected with probability
+        # 1 - Z_j, which the TV series gives independently
+        rows = 2000
+        exp, _, _ = _classes(CANON)
+        tv = ens.tv_upper_bound(CANON, exp + 1)
+        _, (rejected, _) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
+        z = (rejected - rows * tv.sum()) / math.sqrt(rows * np.sum(tv * (1.0 - tv)))
+        assert abs(z) < 4.0
+
+    def test_gamma_rejections_match_truncation_mass(self):
+        rows = 2000
+        _, gam, _ = _classes(CANON)
+        q = -np.expm1(log_reg_lower_gamma(CANON.shapes()[gam], CANON.c))
+        _, (_, rejected) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
+        z = (rejected - rows * q.sum()) / math.sqrt(rows * np.sum(q * (1.0 - q)))
+        assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("params", [CANON, SPREAD[2]])
+    def test_rows_independent_of_block_split(self, params):
+        streams = [5, 0, 17, 3, 9, 11, 2]
+        whole = ens.sample_batch(params, 21, streams)
+        for split in ([3, 4], [1, 1, 5], [6, 1]):
+            parts = np.split(np.arange(len(streams)), np.cumsum(split)[:-1])
+            pieces = [ens.sample_batch(params, 21, [streams[i] for i in part]) for part in parts]
+            assert np.array_equal(np.concatenate(pieces), whole)
+        for i, s in enumerate(streams):
+            assert np.array_equal(ens.sample_configuration(params, 21, s).u, whole[i])
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ens, "_MAX_ROUNDS", 0)
+        with pytest.raises(ArithmeticError):
+            ens.sample_batch(CANON, 1, range(4))
+
+    def test_never_reaches_deep_inverse(self, monkeypatch):
+        def deep(*args):
+            raise AssertionError("the sampler reached the deep-tail inverse")
+
+        monkeypatch.setattr(sf, "_inv_log_p_deep", deep)
+        for params in SPREAD:
+            u = ens.sample_batch(params, 5, range(3))
+            assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
 
 
 class TestExactLaws:

@@ -220,6 +220,24 @@ class TestHittingCovariance:
         assert np.allclose(gram, gram.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
+    def test_hitting_solves_each_level_once(self, monkeypatch):
+        # the bundle equals the one-quantity methods bit for bit, with one
+        # tau solve per level
+        law = LimitLaw(CANON, proc.phi_rational())
+        levels = law.mass_limit * np.array([0.1, 0.4, 0.8])
+        times = [0.5, 3.0]
+        solves = []
+        tau = LimitLaw.tau
+        monkeypatch.setattr(LimitLaw, "tau", lambda self, h: solves.append(h) or tau(self, h))
+        hit = law.hitting(levels, times)
+        assert len(solves) == len(levels)
+        monkeypatch.undo()
+        assert np.array_equal(hit.tau, [law.tau(h) for h in levels])
+        assert np.array_equal(hit.tau_prime, [law.tau_prime(h) for h in levels])
+        assert np.array_equal(hit.gram, law.gram_hitting(levels))
+        assert np.array_equal(hit.cross, [[law.cov_cross(t, h) for h in levels] for t in times])
+        assert law.hitting(levels).cross.shape == (0, len(levels))
+
 
 class TestGaussianSampling:
     def test_fixed_seed_reproducibility(self):
