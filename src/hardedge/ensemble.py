@@ -15,15 +15,19 @@ is sampled exactly by the cheapest of three methods:
   Exp(rate) proposal kept with probability w is exact, and it is rejected
   with probability 1 - Z_j, the total-variation bound of the approximation;
 - low-index particles by a Gamma(s_j, 1) proposal kept when it lies below
-  the truncation point c, which it does with probability P(s_j, c);
+  the truncation point c, which it does with probability P(s_j, c); below
+  s_j = 1 the proposal is drawn in log space so it cannot underflow to 0;
 - the O(sqrt(c)) particles near theta = 1, where either rejection would
   stall, by the inverse CDF.
 
 A particle takes a rejection method when that method keeps at least half of
-its proposals.  The module also evaluates the exact per-particle CDF/density
-in log space, and the exponential approximation's total-variation
-diagnostics: the bound as a positive series, the exact distance by
-quadrature as its oracle.
+its proposals.  Z_j rises with j and P(s_j, c) falls, so the three classes
+are index ranges split at two edges, both within O(sqrt(c)) of theta = 1;
+a sampler call evaluates ln P only on a bracket of O(sqrt(c)) indices
+around them.  The module also evaluates the exact per-particle
+CDF/density in log space, and the exponential approximation's
+total-variation diagnostics: the bound as a positive series, the exact
+distance by quadrature as its oracle.
 
 Reproducibility: each configuration draws from its own counter-based Philox
 stream keyed by (seed, stream), in a fixed order, so it is bit-identical for
@@ -221,20 +225,44 @@ def _u_from_uniform(params: EnsembleParams, shapes, log_p_c, uniforms) -> np.nda
     return -params.u_scale * (np.log(x) - math.log(params.c))
 
 
-def _classes(params: EnsembleParams, shapes, log_p_c):
-    """Column indices of the exponential, gamma and inverse-window classes.
+def _classes(params: EnsembleParams, js):
+    """Column indices of the exponential, gamma and inverse-window classes of
+    the particles ``js`` (any order, repeats allowed), and ln P(s, c) of the
+    window columns.
 
     Z = (s - c) e^c c^{-s} Gamma(s) P(s, c) = 1 - TV is the acceptance rate of
-    the exponential proposal (s > c only), P(s, c) that of the gamma one.
+    the exponential proposal (s > c only) and rises with j; P(s, c), that of
+    the gamma one, falls with j.  So the gamma class is j <= an edge near
+    theta = 1 and the exponential class j >= an edge O(sqrt(c)) above it.
+    Both edges come from one vectorised evaluation on a bracket of about
+    3 b sqrt(c) indices either side of j = b c - alpha, doubled until its
+    lowest entry is gamma class (or j = 1) and its highest exponential class
+    (or j = n); each column is then placed by comparing its j with the edges.
+    The window lies inside the bracket, so its ln P is read from there.
     """
-    c, log_min = params.c, math.log(_MIN_ACCEPT)
-    above = shapes > c
-    log_z = np.full(shapes.shape, -np.inf)
-    sa = shapes[above]
-    log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p_c[above]
-    exp = log_z >= log_min
-    gam = ~exp & (log_p_c >= log_min)
-    return np.flatnonzero(exp), np.flatnonzero(gam), np.flatnonzero(~(exp | gam))
+    c, n, log_min = params.c, params.n, math.log(_MIN_ACCEPT)
+    mid = min(max(round(params.b * c - params.alpha), 1), n)
+    half = math.ceil(3.0 * params.b * math.sqrt(c))
+    while True:
+        lo, hi = max(mid - half, 1), min(mid + half, n)
+        j = np.arange(lo, hi + 1)
+        s = (j + params.alpha) / params.b
+        log_p = log_reg_lower_gamma(s, c)
+        above = s > c
+        sa = s[above]
+        log_z = np.full(s.shape, -np.inf)
+        log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p[above]
+        exp = log_z >= log_min
+        gam = ~exp & (log_p >= log_min)
+        if (gam[0] or lo == 1) and (exp[-1] or hi == n):
+            break
+        half *= 2
+    first_exp = j[exp][0] if exp.any() else n + 1
+    last_gam = j[gam][-1] if gam.any() else 0
+    ja = np.asarray(js)
+    e, g = ja >= first_exp, ja <= last_gam
+    win = np.flatnonzero(~(e | g))
+    return np.flatnonzero(e), np.flatnonzero(g), win, log_p[ja[win] - lo]
 
 
 def _exp_proposal(params: EnsembleParams, rate, prop, accept):
@@ -248,9 +276,19 @@ def _exp_proposal(params: EnsembleParams, rate, prop, accept):
     return u, np.log(accept) <= log_w
 
 
-def _gamma_proposal(params: EnsembleParams, x):
-    """X ~ Gamma(s, 1) is c R, kept when R <= 1; U = -(n kappa / b) ln(X/c)."""
-    return -params.u_scale * (np.log(x) - math.log(params.c)), x <= params.c
+def _gamma_proposal(params: EnsembleParams, y, shapes, v):
+    """X ~ Gamma(s, 1) is c R, kept when R <= 1; U = -(n kappa / b) ln(X/c).
+
+    ``y`` is X itself, except where s < 1: there it is Y ~ Gamma(s + 1, 1),
+    and ln X = ln Y + ln(V)/s with the uniforms ``v`` (clamped at _U_LO), in
+    column order.  X = Y V^{1/s} underflows to 0 for small s, ln X does not.
+    """
+    log_x = np.log(y)
+    if v.size:
+        small = shapes < 1.0
+        log_x[..., small] += np.log(np.maximum(v, _U_LO)) / shapes[small]
+    log_c = math.log(params.c)
+    return -params.u_scale * (log_x - log_c), log_x <= log_c
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
@@ -274,29 +312,32 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
 
     Each row draws from its own generator, in this order: one uniform per
     column (exponential proposals, inverse-CDF uniforms), one acceptance
-    uniform per exponential column, one Gamma(s) proposal per gamma column,
+    uniform per exponential column, one uniform per gamma column of shape
+    s < 1, one gamma proposal per gamma column (shape s + 1 where s < 1),
     then per retry round, over the rejected entries in column order, their
-    proposal and acceptance uniforms and their gamma proposals.  A row
-    therefore depends only on (params, js, seed, its stream).
+    proposal and acceptance uniforms, their s < 1 uniforms and their gamma
+    proposals.  A row therefore depends only on (params, js, seed, its
+    stream).  ln P(s, c) is evaluated only on the class-edge bracket.
     """
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
-    log_p_c = log_reg_lower_gamma(shapes, params.c)
-    exp, gam, win = _classes(params, shapes, log_p_c)
+    exp, gam, win, log_p_win = _classes(params, js)
     rate = params.beta * (shapes[exp] - params.c)
     shape_g = shapes[gam]
+    small = shape_g < 1.0
+    draw_g = np.where(small, shape_g + 1.0, shape_g)
     gens = [_generator(seed, s) for s in streams]
-    m, me = len(shapes), len(exp)
-    first = np.empty((len(gens), m + me))
-    x = np.empty((len(gens), len(gam)))
+    m, me, ns = len(shapes), len(exp), int(np.count_nonzero(small))
+    first = np.empty((len(gens), m + me + ns))
+    y = np.empty((len(gens), len(gam)))
     for r, gen in enumerate(gens):
-        first[r] = gen.random(m + me)
-        x[r] = gen.standard_gamma(shape_g)
+        first[r] = gen.random(m + me + ns)
+        y[r] = gen.standard_gamma(draw_g)
     np.maximum(first, _U_LO, out=first)
 
     u = np.empty((len(gens), m))
-    u[:, win] = _u_from_uniform(params, shapes[win], log_p_c[win], first[:, win])
-    ue, ok_e = _exp_proposal(params, rate, first[:, exp], first[:, m:])
-    ug, ok_g = _gamma_proposal(params, x)
+    u[:, win] = _u_from_uniform(params, shapes[win], log_p_win, first[:, win])
+    ue, ok_e = _exp_proposal(params, rate, first[:, exp], first[:, m:m + me])
+    ug, ok_g = _gamma_proposal(params, y, shape_g, first[:, m + me:])
     u[:, exp], u[:, gam] = ue, ug
     rejected = (int(ok_e.size - np.count_nonzero(ok_e)), int(ok_g.size - np.count_nonzero(ok_g)))
 
@@ -309,22 +350,27 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
         if rounds > _MAX_ROUNDS:
             raise ArithmeticError(f"rejection sampler still rejecting after {_MAX_ROUNDS} "
                                   "retry rounds; this is a bug")
-        pu = np.empty((2, e_rows.size))
-        xg = np.empty(g_rows.size)
-        sg = shape_g[g_cols]
+        sg, dg = shape_g[g_cols], draw_g[g_cols]
         eo = np.searchsorted(e_rows, row_ends).tolist()
+        vo = (np.searchsorted(g_rows[small[g_cols]], row_ends).tolist() if ns
+              else [0] * len(row_ends))
         go = np.searchsorted(g_rows, row_ends).tolist()
+        pu = np.empty((2, e_rows.size))
+        v = np.empty(vo[-1])
+        yg = np.empty(g_rows.size)
         for r in np.union1d(e_rows, g_rows).tolist():
-            e0, e1, g0, g1 = eo[r], eo[r + 1], go[r], go[r + 1]
+            e0, e1, v0, v1, g0, g1 = eo[r], eo[r + 1], vo[r], vo[r + 1], go[r], go[r + 1]
             if e1 > e0:
                 pu[:, e0:e1] = gens[r].random((2, e1 - e0))
+            if v1 > v0:
+                v[v0:v1] = gens[r].random(v1 - v0)
             if g1 > g0:
-                xg[g0:g1] = gens[r].standard_gamma(sg[g0:g1])
+                yg[g0:g1] = gens[r].standard_gamma(dg[g0:g1])
         np.maximum(pu, _U_LO, out=pu)
         ue, ok = _exp_proposal(params, rate[e_cols], pu[0], pu[1])
         u[e_rows[ok], exp[e_cols[ok]]] = ue[ok]
         e_rows, e_cols = e_rows[~ok], e_cols[~ok]
-        ug, ok = _gamma_proposal(params, xg)
+        ug, ok = _gamma_proposal(params, yg, sg, v)
         u[g_rows[ok], gam[g_cols[ok]]] = ug[ok]
         g_rows, g_cols = g_rows[~ok], g_cols[~ok]
     return u, rejected

@@ -205,10 +205,13 @@ def build_statistic(config: RadialConfiguration, phi: TestFunction) -> StepProce
 
 
 def _tail_cutoff(params: EnsembleParams, eps: float) -> float:
-    """T with Prob[U_j > T] <= eps for every particle j."""
-    shapes = params.shapes()
-    lp_c = log_reg_lower_gamma(shapes, params.c)
-    return float(np.max(ensemble._u_from_uniform(params, shapes, lp_c, eps)))
+    """T with Prob[U_j > T] <= eps for every particle j.
+
+    The truncated gamma laws are likelihood-ratio ordered in s_j, so U_j is
+    stochastically decreasing in j and particle 1 has the largest quantile.
+    """
+    s1 = (1.0 + params.alpha) / params.b
+    return float(ensemble._u_from_uniform(params, s1, log_reg_lower_gamma(s1, params.c), eps))
 
 
 def _checked(integrate, f, a: float, b: float, what: str, **opts):

@@ -83,6 +83,12 @@ class TestSampleCommand:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_alpha_near_minus_one_exits_0(self, tmp_path):
+        out = tmp_path / "cfg.csv"
+        assert main(["sample", "--n", "3", "--alpha", "-0.999", "--b", "1", "--rho", "0.5",
+                     "--seed", "2", "--out", str(out)]) == 0
+        assert len(list(csv.reader(out.open()))) == 3 + 3
+
     def test_multiple_replicates_json(self, tmp_path):
         out = tmp_path / "cfgs.json"
         assert main(["sample", "--n", "10", "--replicates", "3", "--format", "json",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from hardedge import ensemble as ens
+from hardedge import process as proc
 from hardedge import special_functions as sf
 from hardedge.ensemble import EnsembleParams, RadialConfiguration
 from hardedge.limit_law import omega1
@@ -61,9 +64,40 @@ def _particle_draws(params: EnsembleParams, j: int, seed: int, count: int) -> np
     return ens._sample(params, np.full(count, j), seed, [j])[0][0]
 
 
+def classes_elementwise(params: EnsembleParams, js):
+    """Oracle of ``ens._classes``: every column classified from its own ln P(s_j, c)."""
+    shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
+    log_p_c = log_reg_lower_gamma(shapes, params.c)
+    c, log_min = params.c, math.log(ens._MIN_ACCEPT)
+    above = shapes > c
+    log_z = np.full(shapes.shape, -np.inf)
+    sa = shapes[above]
+    log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p_c[above]
+    exp = log_z >= log_min
+    gam = ~exp & (log_p_c >= log_min)
+    return np.flatnonzero(exp), np.flatnonzero(gam), np.flatnonzero(~(exp | gam))
+
+
+def _params_id(p: EnsembleParams) -> str:
+    return f"a{p.alpha:g}-b{p.b:g}-rho{p.rho:.4g}-n{p.n}"
+
+
 def _classes(params: EnsembleParams):
-    shapes = params.shapes()
-    return ens._classes(params, shapes, log_reg_lower_gamma(shapes, params.c))
+    return ens._classes(params, np.arange(1, params.n + 1))[:3]
+
+
+# Parameter edges for the class edges: alpha -> -1, n = 1 and 2, rho at
+# 0.999 of the droplet edge b^(-1/(2b)), b = 3.
+CLASS_EDGE_SETS = [
+    CANON,
+    *SPREAD,
+    EnsembleParams(alpha=-0.999, b=1.0, rho=0.5, n=3),
+    EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=1),
+    EnsembleParams(alpha=0.5, b=2.0, rho=0.5, n=2),
+    EnsembleParams(alpha=0.0, b=1.0, rho=0.999, n=400),
+    EnsembleParams(alpha=0.5, b=2.0, rho=0.999 * 2.0 ** -0.25, n=1000),
+    EnsembleParams(alpha=1.0, b=3.0, rho=0.6, n=300),
+]
 
 
 class TestParams:
@@ -192,14 +226,17 @@ class TestRejectionSampler:
         assert np.array_equal(win + 1, [26, 27])
         assert np.array_equal(exp + 1, np.arange(28, 101))
 
-    @pytest.mark.parametrize("j", [28, 100, 25, 26])
-    def test_particle_law_ks(self, j):
+    @pytest.mark.parametrize("params, j", [(CANON, 28), (CANON, 100), (CANON, 25), (CANON, 26),
+                                           (SPREAD[1], 1)],
+                             ids=["28", "100", "25", "26", "shape-0.2"])
+    def test_particle_law_ks(self, params, j):
         # exponential class just above its threshold (j = 28, TV bound 0.49)
         # and at theta = 4; gamma class just below its threshold (j = 25,
-        # P(s, c) = 0.53); inverse window at theta = 1.04
+        # P(s, c) = 0.53); inverse window at theta = 1.04; gamma class at
+        # s = 0.2, drawn as a Gamma(1.2) proposal times V^(1/0.2)
         ndraw = 100_000
-        draws = _particle_draws(CANON, j, 7, ndraw)
-        assert _ks_of_draws(CANON, j, draws) < 1.63 / math.sqrt(ndraw)
+        draws = _particle_draws(params, j, 7, ndraw)
+        assert _ks_of_draws(params, j, draws) < 1.63 / math.sqrt(ndraw)
 
     def test_exponential_rejections_match_tv_bound(self):
         # each first-round exponential proposal is rejected with probability
@@ -243,6 +280,57 @@ class TestRejectionSampler:
         for params in SPREAD:
             u = ens.sample_batch(params, 5, range(3))
             assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+        # mean_exact's t = inf cutoff inverts particle 1's tail alone; the
+        # quadrature over 1e5 components takes seconds, so LARGE calls the
+        # cutoff itself and the other sets the whole mean_exact
+        assert math.isfinite(proc._tail_cutoff(LARGE, 1e-14))
+        for params in SPREAD[1:]:
+            assert proc.mean_exact(params, proc.phi_one(), math.inf) == pytest.approx(1.0, abs=1e-8)
+
+    @staticmethod
+    def _check_classes(params, js):
+        exp, gam, win, log_p_win = ens._classes(params, js)
+        want = classes_elementwise(params, js)
+        for got, w in zip((exp, gam, win), want):
+            assert np.array_equal(got, w)
+        shapes = (np.asarray(js, dtype=float)[win] + params.alpha) / params.b
+        assert np.array_equal(log_p_win, log_reg_lower_gamma(shapes, params.c))
+
+    @pytest.mark.parametrize("params", CLASS_EDGE_SETS, ids=_params_id)
+    def test_class_edges_match_elementwise(self, params):
+        self._check_classes(params, np.arange(1, params.n + 1))
+
+    @pytest.mark.parametrize("params", [CANON, SPREAD[2], SPREAD[3]], ids=_params_id)
+    def test_class_edges_unsorted_and_repeated_columns(self, params):
+        rng = np.random.default_rng(4)
+        columns = [rng.permutation(np.arange(1, params.n + 1)),
+                   rng.integers(1, params.n + 1, size=3 * params.n)]
+        columns += [np.full(5, j) for j in (1, params.n // 2 + 1, params.n)]
+        for js in columns:
+            self._check_classes(params, js)
+
+    def test_log_p_work_is_order_sqrt_c(self, monkeypatch):
+        # ln P is needed only near theta = 1: the class-edge bracket, which
+        # holds the inverse window, O(sqrt(c)) entries instead of n = 1e5
+        seen = []
+        inner = ens.log_reg_lower_gamma
+
+        def counting(a, x):
+            seen.append(np.size(a))
+            return inner(a, x)
+
+        monkeypatch.setattr(ens, "log_reg_lower_gamma", counting)
+        ens.sample_batch(LARGE, 5, range(2))
+        assert 0 < sum(seen) <= 20.0 * math.sqrt(LARGE.c)
+
+    def test_alpha_near_minus_one_finite(self):
+        # s_1 = 0.001: X = Y V^(1/s) underflows to 0 in linear space for
+        # about two in five rows, so the gamma proposal is drawn in log space
+        params = EnsembleParams(alpha=-0.999, b=1.0, rho=0.5, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = ens.sample_batch(params, 1, range(200))
+        assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
 
 
 class TestExactLaws:
