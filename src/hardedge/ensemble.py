@@ -14,9 +14,10 @@ is sampled exactly by the cheapest of three methods:
   density of U_j is rate e^{-rate x} w(x) / Z_j with w <= 1, so an
   Exp(rate) proposal kept with probability w is exact, and it is rejected
   with probability 1 - Z_j, the total-variation bound of the approximation;
-- low-index particles by a Gamma(s_j, 1) proposal kept when it lies below
-  the truncation point c, which it does with probability P(s_j, c); below
-  s_j = 1 the proposal is drawn in log space so it cannot underflow to 0;
+- low-index particles by a Gamma(s_j, 1) proposal (Marsaglia-Tsang, from a
+  normal and a uniform) kept when it lies below the truncation point c,
+  which it does with probability P(s_j, c); below s_j = 1 the proposal is
+  drawn in log space so it cannot underflow to 0;
 - the O(sqrt(c)) particles near theta = 1, where either rejection would
   stall, by the inverse CDF.
 
@@ -30,8 +31,11 @@ total-variation diagnostics: the bound as a positive series, the exact
 distance by quadrature as its oracle.
 
 Reproducibility: each configuration draws from its own counter-based Philox
-stream keyed by (seed, stream), in a fixed order, so it is bit-identical for
-a fixed key no matter how sampling work is batched or scheduled.
+stream keyed by (seed, stream), in a fixed order: one draw holds its
+first-round uniforms and a reservoir for the retry rounds, and a row that
+exhausts its reservoir refills from its own substream.  A configuration is
+therefore bit-identical for a fixed key no matter how sampling work is
+batched or scheduled.  Seeds and streams must be integers in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -40,11 +44,12 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, ndtri
 
 from .special_functions import (
     inv_log_reg_lower_gamma,
@@ -72,9 +77,15 @@ _U_HI = 1.0 - 2.0**-53
 # Smallest acceptance rate for which a particle is sampled by rejection; it
 # needs at most 1/_MIN_ACCEPT proposals on average.
 _MIN_ACCEPT = 0.5
-# Each retry round keeps an entry with probability >= _MIN_ACCEPT, so an
-# entry outlasts this many rounds with probability <= 2^-200.
+# Each retry round keeps an entry with probability >= _MIN_ACCEPT times the
+# Marsaglia-Tsang acceptance rate (> 0.95), so an entry outlasts this many
+# rounds with probability below 2^-200.
 _MAX_ROUNDS = 200
+# Retry slots per row, drawn with its first-round uniforms:
+# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's expected retry demand is O(sqrt(c)),
+# the rejections of the particles within O(sqrt(c)) of theta = 1; a row that
+# needs more draws a refill from its own substream.
+_RESERVOIR = 4.0
 
 # The TV series needs at most about 9 sqrt(c) terms, reached as theta -> 1
 # (394 at n = 1e5 for theta > 1.1); more than this means a bug.
@@ -276,104 +287,143 @@ def _exp_proposal(params: EnsembleParams, rate, prop, accept):
     return u, np.log(accept) <= log_w
 
 
-def _gamma_proposal(params: EnsembleParams, y, shapes, v):
-    """X ~ Gamma(s, 1) is c R, kept when R <= 1; U = -(n kappa / b) ln(X/c).
+def _gamma_proposal(params: EnsembleParams, shapes, z, accept, v):
+    """Marsaglia-Tsang Gamma(d, 1) proposal X = c R, kept when R <= 1.
 
-    ``y`` is X itself, except where s < 1: there it is Y ~ Gamma(s + 1, 1),
-    and ln X = ln Y + ln(V)/s with the uniforms ``v`` (clamped at _U_LO), in
-    column order.  X = Y V^{1/s} underflows to 0 for small s, ln X does not.
+    d = s, except where s < 1: there d = s + 1 and ln X = ln Y + ln(V)/s with
+    Y ~ Gamma(s + 1, 1) and the uniforms ``v`` (one per s < 1 entry, in
+    order), so X = Y V^{1/s} cannot underflow to 0.  The normal is ndtri(z);
+    with a = d - 1/3 and t = 1 + normal/sqrt(9a), Y = a t^3 is kept when
+    t > 0 and ln(accept) < normal^2/2 + a (1 - t^3 + 3 ln t).  Returns
+    U = -(n kappa / b) ln(X/c), the Marsaglia-Tsang verdict, and that verdict
+    and ln X <= ln c together.
     """
-    log_x = np.log(y)
-    if v.size:
-        small = shapes < 1.0
-        log_x[..., small] += np.log(np.maximum(v, _U_LO)) / shapes[small]
+    small = shapes < 1.0
+    a = np.where(small, shapes + 1.0, shapes) - 1.0 / 3.0
+    x = ndtri(z)
+    t = x / np.sqrt(9.0 * a)
+    t += 1.0
+    log_t = np.log(t, out=np.full(t.shape, -np.inf), where=t > 0.0)
+    log_x = np.log(a) + 3.0 * log_t
+    if np.any(small):
+        log_x[..., small] += np.log(v) / shapes[small]
+    mt = np.log(accept) < 0.5 * x * x + a * (1.0 - t * t * t + 3.0 * log_t)
     log_c = math.log(params.c)
-    return -params.u_scale * (log_x - log_c), log_x <= log_c
+    return -params.u_scale * (log_x - log_c), mt, mt & (log_x <= log_c)
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if not (0 <= int(stream) < 2**64):
-        raise ValueError(f"stream must be a 64-bit unsigned integer, got {stream!r}")
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _keys(seed, streams) -> np.ndarray:
+    """Philox keys (seed, stream), one row per stream; seed and streams must be
+    integers in [0, 2^64)."""
+    def check(name, value):
+        try:
+            k = operator.index(value)
+        except TypeError:
+            k = -1
+        if not 0 <= k < 2**64:
+            raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+        return k
+
+    seed = check("seed", seed)
+    return np.array([(seed, check("stream", s)) for s in streams], dtype=np.uint64).reshape(-1, 2)
 
 
-def _uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of stream (seed, stream)."""
-    return _generator(seed, stream).random(count)
+def _row_uniforms(gen: np.random.Generator, key: np.ndarray, refill: int, out: np.ndarray):
+    """Fill ``out`` with uniforms from the Philox stream ``key``: its first draw
+    from counter 0, refill k from counter high word k.  Re-keying gives the
+    same stream as a fresh ``Philox(key=key)`` without seeding one."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, 0, refill], dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    gen.random(out=out)
 
 
 def _sample(params: EnsembleParams, js, seed: int, streams):
     """U over the particles ``js`` (columns, repeats allowed), one row per
-    stream, and the first-round rejection counts of the exponential and
-    gamma classes.
+    stream, and three first-round counts: exponential rejections, gamma
+    truncation rejections among Marsaglia-Tsang acceptances, and those
+    acceptances per gamma column.
 
-    Each row draws from its own generator, in this order: one uniform per
-    column (exponential proposals, inverse-CDF uniforms), one acceptance
-    uniform per exponential column, one uniform per gamma column of shape
-    s < 1, one gamma proposal per gamma column (shape s + 1 where s < 1),
-    then per retry round, over the rejected entries in column order, their
-    proposal and acceptance uniforms, their s < 1 uniforms and their gamma
-    proposals.  A row therefore depends only on (params, js, seed, its
-    stream).  ln P(s, c) is evaluated only on the class-edge bracket.
+    Each row makes one Philox draw from its own stream, in this order: one
+    uniform per column (exponential proposals, gamma normals, inverse-CDF
+    uniforms), one acceptance uniform per exponential column, one per gamma
+    column, one uniform per gamma column of shape s < 1, then a reservoir of
+    retry slots, three uniforms each.  Every retry round runs over the whole
+    block: each rejected entry takes its row's next unused slot, in column
+    order, and draws its proposal (or normal), acceptance uniform and, where
+    s < 1, V from it.  A row with more rejected entries than unused slots
+    drops those slots and draws max(slots, entries) fresh ones from its own
+    substream (counter high word = the row's refill count).  A row therefore
+    depends only on (params, js, seed, its stream).  ln P(s, c) is evaluated
+    only on the class-edge bracket.
     """
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
     exp, gam, win, log_p_win = _classes(params, js)
-    rate = params.beta * (shapes[exp] - params.c)
+    m, me, mg = len(shapes), len(exp), len(gam)
     shape_g = shapes[gam]
-    small = shape_g < 1.0
-    draw_g = np.where(small, shape_g + 1.0, shape_g)
-    gens = [_generator(seed, s) for s in streams]
-    m, me, ns = len(shapes), len(exp), int(np.count_nonzero(small))
-    first = np.empty((len(gens), m + me + ns))
-    y = np.empty((len(gens), len(gam)))
-    for r, gen in enumerate(gens):
-        first[r] = gen.random(m + me + ns)
-        y[r] = gen.standard_gamma(draw_g)
-    np.maximum(first, _U_LO, out=first)
+    width = m + me + mg + int(np.count_nonzero(shape_g < 1.0))
+    slots = math.ceil(_RESERVOIR * (math.sqrt(params.c) + 8.0))
+    keys = _keys(seed, streams)
+    rows = len(keys)
+    gen = np.random.Generator(np.random.Philox(0))
+    first = np.empty((rows, width + 3 * slots))
+    for r in range(rows):
+        _row_uniforms(gen, keys[r], 0, first[r])
+    head = first[:, :width]
+    np.maximum(head, _U_LO, out=head)
 
-    u = np.empty((len(gens), m))
+    rate = np.zeros(m)
+    rate[exp] = params.beta * (shapes[exp] - params.c)
+    u = np.empty((rows, m))
     u[:, win] = _u_from_uniform(params, shapes[win], log_p_win, first[:, win])
-    ue, ok_e = _exp_proposal(params, rate, first[:, exp], first[:, m:m + me])
-    ug, ok_g = _gamma_proposal(params, y, shape_g, first[:, m + me:])
-    u[:, exp], u[:, gam] = ue, ug
-    rejected = (int(ok_e.size - np.count_nonzero(ok_e)), int(ok_g.size - np.count_nonzero(ok_g)))
+    u[:, exp], ok_e = _exp_proposal(params, rate[exp], first[:, exp], first[:, m:m + me])
+    u[:, gam], mt, ok_g = _gamma_proposal(params, shape_g, first[:, gam],
+                                          first[:, m + me:m + me + mg], first[:, m + me + mg:width])
+    counts = (int(ok_e.size - np.count_nonzero(ok_e)), int(np.count_nonzero(mt & ~ok_g)),
+              np.count_nonzero(mt, axis=0))
 
-    e_rows, e_cols = np.nonzero(~ok_e)
-    g_rows, g_cols = np.nonzero(~ok_g)
-    row_ends = np.arange(len(gens) + 1)
+    pending = np.zeros((rows, m), dtype=bool)
+    pending[:, exp], pending[:, gam] = ~ok_e, ~ok_g
+    p_rows, p_cols = np.nonzero(pending)
+    is_exp = np.zeros(m, dtype=bool)
+    is_exp[exp] = True
+    res = first[:, width:].reshape(rows * slots, 3)
+    cursor = np.arange(rows) * slots    # each row's next unused slot in res
+    free = np.full(rows, slots)
+    refills = [0] * rows
     rounds = 0
-    while e_rows.size or g_rows.size:
+    while p_rows.size:
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise ArithmeticError(f"rejection sampler still rejecting after {_MAX_ROUNDS} "
                                   "retry rounds; this is a bug")
-        sg, dg = shape_g[g_cols], draw_g[g_cols]
-        eo = np.searchsorted(e_rows, row_ends).tolist()
-        vo = (np.searchsorted(g_rows[small[g_cols]], row_ends).tolist() if ns
-              else [0] * len(row_ends))
-        go = np.searchsorted(g_rows, row_ends).tolist()
-        pu = np.empty((2, e_rows.size))
-        v = np.empty(vo[-1])
-        yg = np.empty(g_rows.size)
-        for r in np.union1d(e_rows, g_rows).tolist():
-            e0, e1, v0, v1, g0, g1 = eo[r], eo[r + 1], vo[r], vo[r + 1], go[r], go[r + 1]
-            if e1 > e0:
-                pu[:, e0:e1] = gens[r].random((2, e1 - e0))
-            if v1 > v0:
-                v[v0:v1] = gens[r].random(v1 - v0)
-            if g1 > g0:
-                yg[g0:g1] = gens[r].standard_gamma(dg[g0:g1])
-        np.maximum(pu, _U_LO, out=pu)
-        ue, ok = _exp_proposal(params, rate[e_cols], pu[0], pu[1])
-        u[e_rows[ok], exp[e_cols[ok]]] = ue[ok]
-        e_rows, e_cols = e_rows[~ok], e_cols[~ok]
-        ug, ok = _gamma_proposal(params, yg, sg, v)
-        u[g_rows[ok], gam[g_cols[ok]]] = ug[ok]
-        g_rows, g_cols = g_rows[~ok], g_cols[~ok]
-    return u, rejected
+        need = np.bincount(p_rows, minlength=rows)
+        fresh, top = [], len(res)
+        for r in np.flatnonzero(need > free).tolist():
+            refills[r] += 1
+            fresh.append(np.empty((max(slots, int(need[r])), 3)))
+            _row_uniforms(gen, keys[r], refills[r], fresh[-1].reshape(-1))
+            cursor[r], free[r] = top, len(fresh[-1])
+            top += len(fresh[-1])
+        if fresh:
+            res = np.concatenate([res, *fresh])
+        # entries are sorted by (row, column): rank within the row picks the slot
+        rank = np.arange(p_rows.size) - (np.cumsum(need) - need)[p_rows]
+        uni = np.maximum(res[cursor[p_rows] + rank], _U_LO)
+        cursor += need
+        free -= need
+        e = is_exp[p_cols]
+        g = ~e
+        val = np.empty(p_rows.size)
+        ok = np.empty(p_rows.size, dtype=bool)
+        val[e], ok[e] = _exp_proposal(params, rate[p_cols[e]], uni[e, 0], uni[e, 1])
+        sg, ug = shapes[p_cols[g]], uni[g]
+        val[g], _, ok[g] = _gamma_proposal(params, sg, ug[:, 0], ug[:, 1], ug[sg < 1.0, 2])
+        u[p_rows[ok], p_cols[ok]] = val[ok]
+        p_rows, p_cols = p_rows[~ok], p_cols[~ok]
+    return u, counts
 
 
 def sample_configuration(params: EnsembleParams, seed: int, stream: int = 0) -> RadialConfiguration:

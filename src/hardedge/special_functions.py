@@ -37,11 +37,11 @@ _EPS = np.finfo(float).eps
 _DEEP_CHUNK = 1 << 14
 
 
-def _as_float_array(x, name: str, inf_ok: bool = False) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr) | (inf_ok & np.isposinf(arr))):
-        raise ValueError(f"{name} must be finite{' (or +inf)' if inf_ok else ''}, got {x!r}")
-    return arr
+def _shapes_ok(a: np.ndarray) -> bool:
+    """Every shape parameter finite and > 0 (NaN fails)."""
+    ok = a > 0.0
+    ok &= np.isfinite(a)
+    return bool(ok.all())
 
 
 def log_reg_lower_gamma(a, x):
@@ -56,21 +56,18 @@ def log_reg_lower_gamma(a, x):
     The deep branch only triggers for x well below a, where the series
     converges geometrically.
     """
-    aa = _as_float_array(a, "a")
-    xa = _as_float_array(x, "x", inf_ok=True)
-    if np.any(aa <= 0.0) or np.any(xa < 0.0):
-        raise ValueError("log_reg_lower_gamma requires a > 0 and x >= 0")
-    aa, xa = np.broadcast_arrays(aa, xa)
-    out = np.full(aa.shape, -np.inf)
-    pos = xa > 0.0
-    if pos.any():
-        p = np.zeros(aa.shape)
-        p[pos] = gammainc(aa[pos], xa[pos])
-        lin = pos & (p > _LINEAR_FLOOR)
-        out[lin] = np.log(p[lin])
-        deep = pos & ~lin
-        if deep.any():
-            out[deep] = _log_p_series(aa[deep], xa[deep])
+    aa = np.asarray(a, dtype=float)
+    xa = np.asarray(x, dtype=float)
+    if not (_shapes_ok(aa) and (xa >= 0.0).all()):
+        raise ValueError(f"log_reg_lower_gamma requires finite a > 0 and x >= 0 (or +inf), "
+                         f"got a = {a!r}, x = {x!r}")
+    p = gammainc(aa, xa)
+    lin = p > _LINEAR_FLOOR
+    out = np.log(p, out=np.full(p.shape, -np.inf), where=lin)
+    if not lin.all():
+        aa, xa = np.broadcast_arrays(aa, xa)
+        deep = ~lin & (xa > 0.0)
+        out[deep] = _log_p_series(aa[deep], xa[deep])
     scalar = np.isscalar(a) and np.isscalar(x)
     return float(out) if scalar or out.ndim == 0 else out
 
@@ -103,20 +100,20 @@ def inv_log_reg_lower_gamma(a, log_p):
     ``_MAX_NEWTON_ITER`` sweeps, or a root x below the smallest normal double,
     raise ``ArithmeticError``.  log_p = -inf maps to 0, log_p = 0 to +inf.
     """
-    aa = _as_float_array(a, "a")
+    aa = np.asarray(a, dtype=float)
     la = np.asarray(log_p, dtype=float)
-    if np.any(aa <= 0.0):
-        raise ValueError("inv_log_reg_lower_gamma requires a > 0")
-    if np.any(np.isnan(la)) or np.any(la > 0.0):
-        raise ValueError("inv_log_reg_lower_gamma requires log_p <= 0")
-    aa, la = np.broadcast_arrays(aa, la)
-    out = np.zeros(aa.shape)
-    out[la >= 0.0] = np.inf
-    mid = (la > math.log(_LINEAR_FLOOR)) & (la < 0.0)
-    if mid.any():
-        out[mid] = gammaincinv(aa[mid], np.exp(la[mid]))
-    deep = np.isfinite(la) & (la <= math.log(_LINEAR_FLOOR))
-    if deep.any():
+    if not (_shapes_ok(aa) and (la <= 0.0).all()):
+        raise ValueError(f"inv_log_reg_lower_gamma requires finite a > 0 and log_p <= 0, "
+                         f"got a = {a!r}, log_p = {log_p!r}")
+    lin = la > math.log(_LINEAR_FLOOR)
+    if lin.all():
+        # gammaincinv maps p = 1 to +inf
+        out = gammaincinv(aa, np.exp(la))
+    else:
+        aa, la, lin = np.broadcast_arrays(aa, la, lin)
+        out = np.zeros(aa.shape)
+        out[lin] = gammaincinv(aa[lin], np.exp(la[lin]))
+        deep = ~lin & np.isfinite(la)
         out[deep] = _inv_log_p_deep(aa[deep], la[deep])
     scalar = np.isscalar(a) and np.isscalar(log_p)
     return float(out) if scalar or out.ndim == 0 else out

@@ -304,8 +304,9 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
 
     Each block bins its particles once against the grid and sums the weights
     of every (replicate, bin) pair with one bincount, so temporaries stay
-    O(block x n) whatever the grid size; Q needs the row-sorted cumulative
-    weight, one comparison per level.
+    O(block x n) whatever the grid size.  With levels, the block's rows are
+    sorted in place once, before weighting, so Q is the cumulative weight and
+    one comparison per level; without levels nothing is sorted.
     """
     M = replicates if replicates is not None else config.replicates
     n, G = params.n, len(grid)
@@ -315,6 +316,8 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
 
     def block(i0: int, i1: int):
         u = ens.sample_batch(params, config.seed, range(i0, i1))
+        if len(levels):
+            u.sort(axis=1)
         w = np.asarray(phi(u), dtype=float) / n
         r = np.arange(i1 - i0)
         # bin b of row r holds the particles with grid[b-1] < u <= grid[b];
@@ -324,10 +327,8 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
         S[i0:i1] = np.cumsum(mass.reshape(len(r), G + 1)[:, :G], axis=1)
         S_inf[i0:i1] = np.sum(w, axis=1)
         if len(levels):
-            order = np.argsort(u, axis=1)
-            su = np.concatenate((np.take_along_axis(u, order, axis=1),
-                                 np.full((len(r), 1), np.inf)), axis=1)
-            cum = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+            su = np.concatenate((u, np.full((len(r), 1), np.inf)), axis=1)
+            cum = np.cumsum(w, axis=1)
             for k, h in enumerate(levels):
                 Q[i0:i1, k] = su[r, np.count_nonzero(cum <= h, axis=1)]
 

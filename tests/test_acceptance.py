@@ -61,9 +61,9 @@ def _ks_distance(params: EnsembleParams, j: int, draws: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(cdf - hi), np.abs(cdf - lo))))
 
 
-def _draws_for_particle(params: EnsembleParams, j: int, seed: int, count: int,
+def _draws_for_particle(params: EnsembleParams, j: int, uni: np.ndarray,
                         chunks: int = 1) -> np.ndarray:
-    uni = ens._uniform_stream(seed, j, count)
+    count = len(uni)
     s = np.full(count, (j + params.alpha) / params.b)
     lpc = log_reg_lower_gamma(s, params.c)
     if chunks == 1:
@@ -257,11 +257,12 @@ def test_criterion_8_hitting_time_fclt():
     assert elapsed < 300.0
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(uniform_stream):
     t0 = time.perf_counter()
     # criterion 2 draws: byte-identical under a different computation split
-    d1 = _draws_for_particle(CANON, 60, MASTER_SEED, 100_000, chunks=1)
-    d2 = _draws_for_particle(CANON, 60, MASTER_SEED, 100_000, chunks=7)
+    uni = uniform_stream(MASTER_SEED, 60, 100_000)
+    d1 = _draws_for_particle(CANON, 60, uni, chunks=1)
+    d2 = _draws_for_particle(CANON, 60, uni, chunks=7)
     draws_ok = d1.tobytes() == d2.tobytes()
 
     # criteria 4 and 8 reports: byte-identical across worker counts

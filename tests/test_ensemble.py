@@ -175,6 +175,24 @@ class TestSampling:
             single = ens.sample_configuration(CANON, 9, stream=i)
             assert np.array_equal(batch[i], single.u)
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
+                                              (1.7, 0), (0, 0.9), (np.float64(1.0), 0),
+                                              ("1", 0), (None, 0)])
+    def test_invalid_seed_or_stream_raises(self, seed, stream):
+        # a float that int() would truncate is refused, not taken as its floor
+        with pytest.raises(ValueError):
+            ens.sample_batch(CANON, seed, [stream])
+        with pytest.raises(ValueError):
+            ens.sample_configuration(CANON, seed, stream)
+
+    def test_numpy_integer_seed_and_stream(self):
+        top = 2**64 - 1
+        want = ens.sample_batch(CANON, top, [3, top])
+        streams = np.array([3, top], dtype=np.uint64)
+        assert np.array_equal(ens.sample_batch(CANON, np.uint64(top), streams), want)
+        assert np.array_equal(ens.sample_batch(CANON, np.int64(5), [np.int32(3)]),
+                              ens.sample_batch(CANON, 5, [3]))
+
     def test_empirical_law_ks(self):
         # 2e4 draws for one particle against the exact CDF; the acceptance
         # suite runs the full 1e5-draw version for three particles.
@@ -183,16 +201,16 @@ class TestSampling:
         assert _ks_distance(CANON, j, rng.random(ndraw)) < 1.63 / math.sqrt(ndraw)
 
     @pytest.mark.parametrize("j", [40_000, 90_000])
-    def test_empirical_law_ks_deep_tail(self, j):
+    def test_empirical_law_ks_deep_tail(self, j, uniform_stream):
         # both particles sit on the deep-tail inverse (P(s_j, c) < 1e-280)
         ndraw = 100_000
-        uni = ens._uniform_stream(42, j, ndraw)
+        uni = uniform_stream(42, j, ndraw)
         assert _ks_distance(LARGE, j, uni) < 1.63 / math.sqrt(ndraw)
 
-    def test_round_trip_at_large_n(self):
+    def test_round_trip_at_large_n(self, uniform_stream):
         # cdf_u(U_j) = 1 - u for the inverse map of every particle of an
         # n = 1e5 row of uniforms, about 70% of which take the deep-tail inverse
-        uni = np.clip(ens._uniform_stream(42, 0, LARGE.n), ens._U_LO, ens._U_HI)
+        uni = np.clip(uniform_stream(42, 0, LARGE.n), ens._U_LO, ens._U_HI)
         shapes = LARGE.shapes()
         u = ens._u_from_uniform(LARGE, shapes, log_reg_lower_gamma(shapes, LARGE.c), uni)
         cdf = ens.cdf_u(LARGE, np.arange(1, LARGE.n + 1), u)
@@ -244,16 +262,19 @@ class TestRejectionSampler:
         rows = 2000
         exp, _, _ = _classes(CANON)
         tv = ens.tv_upper_bound(CANON, exp + 1)
-        _, (rejected, _) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
+        _, (rejected, _, _) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
         z = (rejected - rows * tv.sum()) / math.sqrt(rows * np.sum(tv * (1.0 - tv)))
         assert abs(z) < 4.0
 
     def test_gamma_rejections_match_truncation_mass(self):
+        # a proposal that passes the Marsaglia-Tsang test is an exact
+        # Gamma(s) draw, so it lies beyond c with probability 1 - P(s, c)
         rows = 2000
         _, gam, _ = _classes(CANON)
         q = -np.expm1(log_reg_lower_gamma(CANON.shapes()[gam], CANON.c))
-        _, (_, rejected) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
-        z = (rejected - rows * q.sum()) / math.sqrt(rows * np.sum(q * (1.0 - q)))
+        _, (_, rejected, tried) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
+        assert np.all(tried > 0.9 * rows)
+        z = (rejected - np.sum(tried * q)) / math.sqrt(np.sum(tried * q * (1.0 - q)))
         assert abs(z) < 4.0
 
     @pytest.mark.parametrize("params", [CANON, SPREAD[2]])
@@ -266,6 +287,84 @@ class TestRejectionSampler:
             assert np.array_equal(np.concatenate(pieces), whole)
         for i, s in enumerate(streams):
             assert np.array_equal(ens.sample_configuration(params, 21, s).u, whole[i])
+
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """(stream, refill) of every generator draw call the sampler makes."""
+        calls = []
+        inner = ens._row_uniforms
+
+        def recording(gen, key, refill, out):
+            calls.append((int(key[1]), refill))
+            inner(gen, key, refill, out)
+
+        monkeypatch.setattr(ens, "_row_uniforms", recording)
+        return calls
+
+    @pytest.mark.parametrize("reservoir", [0.0, 1.0])
+    def test_refilled_rows_independent_of_block_split(self, monkeypatch, reservoir):
+        # a reservoir of 0 or ceil(sqrt(c) + 8) slots makes rows refill from
+        # their own substreams; rows stay what they are alone, in any order
+        monkeypatch.setattr(ens, "_RESERVOIR", reservoir)
+        calls = self._record_draws(monkeypatch)
+        streams = list(range(24))
+        whole = ens.sample_batch(CANON, 21, streams)
+        assert any(refill > 0 for _, refill in calls)
+        perm = np.random.default_rng(2).permutation(len(streams))
+        assert np.array_equal(ens.sample_batch(CANON, 21, [streams[i] for i in perm]), whole[perm])
+        for split in ([5, 19], [1, 11, 12], [23, 1]):
+            parts = np.split(np.arange(len(streams)), np.cumsum(split)[:-1])
+            pieces = [ens.sample_batch(CANON, 21, [streams[i] for i in part]) for part in parts]
+            assert np.array_equal(np.concatenate(pieces), whole)
+        for s in (0, 7, 23):
+            assert np.array_equal(ens.sample_configuration(CANON, 21, s).u, whole[s])
+
+    def test_refilled_particle_law_ks(self, monkeypatch):
+        # j = 28 (TV bound 0.49) with a one-slot-per-sqrt(c) reservoir: about
+        # half the 1e5 columns go to refills in every round
+        monkeypatch.setattr(ens, "_RESERVOIR", 1.0)
+        calls = self._record_draws(monkeypatch)
+        ndraw = 100_000
+        draws = _particle_draws(CANON, 28, 7, ndraw)
+        assert len(calls) > 10
+        assert _ks_of_draws(CANON, 28, draws) < 1.63 / math.sqrt(ndraw)
+
+    def test_marsaglia_tsang_law_ks_at_large_shape(self):
+        # the last gamma-class particle at c = 2500: shape about c, about
+        # half its proposals truncated
+        params = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=10_000)
+        j = int(_classes(params)[1][-1]) + 1
+        assert 0.5 <= math.exp(log_reg_lower_gamma(j + params.alpha, params.c)) < 0.6
+        ndraw = 100_000
+        draws = _particle_draws(params, j, 11, ndraw)
+        assert _ks_of_draws(params, j, draws) < 1.63 / math.sqrt(ndraw)
+
+    @pytest.mark.parametrize("reservoir", [ens._RESERVOIR, 0.0])
+    def test_one_draw_call_per_row_and_refill(self, monkeypatch, reservoir):
+        # every retry round runs over the block, so generator calls are rows
+        # plus refills (none at the default reservoir) however many rounds run
+        monkeypatch.setattr(ens, "_RESERVOIR", reservoir)
+        calls = self._record_draws(monkeypatch)
+        rounds = []
+        inner = ens._gamma_proposal
+
+        def counting(*args):
+            rounds.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(ens, "_gamma_proposal", counting)
+        rows = 64
+        ens.sample_batch(CANON, 3, range(rows))
+        assert len(rounds) - 1 >= 3
+        assert sorted(s for s, refill in calls if refill == 0) == list(range(rows))
+        refills = {}
+        for s, refill in calls:
+            refills.setdefault(s, []).append(refill)
+        for seen in refills.values():
+            assert seen == list(range(len(seen)))
+        assert len(calls) == rows + sum(len(seen) - 1 for seen in refills.values())
+        if reservoir:
+            assert len(calls) == rows
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(ens, "_MAX_ROUNDS", 0)

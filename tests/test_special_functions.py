@@ -158,11 +158,11 @@ class TestLogSpace:
 
 
 @pytest.fixture(scope="module")
-def deep_row():
-    """Deep-branch inputs (a, ln P target) of one n = 1e5 configuration row."""
+def deep_row(uniform_stream):
+    """Deep-branch inputs (a, ln P target) of one n = 1e5 row of uniforms."""
     params = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
     shapes = params.shapes()
-    uni = np.clip(ens._uniform_stream(42, 0, params.n), ens._U_LO, ens._U_HI)
+    uni = np.clip(uniform_stream(42, 0, params.n), ens._U_LO, ens._U_HI)
     target = np.log(uni) + log_reg_lower_gamma(shapes, params.c)
     deep = target <= math.log(sf._LINEAR_FLOOR)
     return shapes[deep], target[deep]

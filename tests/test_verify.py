@@ -58,14 +58,16 @@ class TestConfig:
 
 
 class TestStatisticReduction:
-    @pytest.mark.parametrize("kind", ["one", "rational"])
+    @pytest.mark.parametrize("kind", ["one", "rational", "exp_decay:0.5"])
     @pytest.mark.parametrize("with_levels", [False, True])
     def test_matches_per_configuration_path(self, kind, with_levels):
         # the campaign reduction against build_statistic on the same draws,
-        # over two replicate blocks; for phi = rational the two upper levels
-        # lie above the total mass, so Q = +inf is covered too
+        # over two replicate blocks; with levels the rows are sorted before
+        # weighting, so for phi != one S is summed in another order; for
+        # phi = rational and exp_decay the upper levels lie above the total
+        # mass, so Q = +inf is covered too
         p = EnsembleParams(0.0, 1.0, 0.5, 200)
-        cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec(kind=kind),
+        cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec.parse(kind),
                                replicates=150, seed=8)
         phi = cfg.phi.build()
         grid = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 30.0])
