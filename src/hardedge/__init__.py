@@ -27,7 +27,7 @@ from .process import (
     phi_one,
     phi_rational,
 )
-from .special_functions import inv_log_reg_lower_gamma, log_reg_lower_gamma
+from .special_functions import log_reg_lower_gamma
 from .verify import (
     ExperimentConfig,
     ExperimentReport,

@@ -8,27 +8,27 @@ variables.  In hard-edge coordinates the j-th particle is
 
 where R_j follows a Gamma(shape s_j, rate c) law conditioned on R_j <= 1,
 with shape s_j = (j + alpha) / b and rate c = n * rho^(2b).  Each particle
-is sampled exactly by the cheapest of three methods:
+is sampled exactly by one of two rejection methods:
 
-- high-index particles (s_j > c) by the paper's exponential coupling: the
-  density of U_j is rate e^{-rate x} w(x) / Z_j with w <= 1, so an
-  Exp(rate) proposal kept with probability w is exact, and it is rejected
-  with probability 1 - Z_j, the total-variation bound of the approximation;
+- high-index particles by the paper's exponential coupling: the density of
+  U_j is rate e^{-rate x} w(x) / Z_j with w <= 1 (s_j > c), so an Exp(rate)
+  proposal kept with probability w is exact, and it is rejected with
+  probability 1 - Z_j, the total-variation bound of the approximation;
 - low-index particles by a Gamma(s_j, 1) proposal (Marsaglia-Tsang, from a
   normal and a uniform) kept when it lies below the truncation point c,
   which it does with probability P(s_j, c); below s_j = 1 the proposal is
-  drawn in log space so it cannot underflow to 0;
-- the O(sqrt(c)) particles near theta = 1, where either rejection would
-  stall, by the inverse CDF.
+  drawn in log space so it cannot underflow to 0.
 
-A particle takes a rejection method when that method keeps at least half of
-its proposals.  Z_j rises with j and P(s_j, c) falls, so the three classes
-are index ranges split at two edges, both within O(sqrt(c)) of theta = 1;
-a sampler call evaluates ln P only on a bracket of O(sqrt(c)) indices
-around them.  The module also evaluates the exact per-particle
-CDF/density in log space, and the exponential approximation's
-total-variation diagnostics: the bound as a positive series, the exact
-distance by quadrature as its oracle.
+A particle takes the method that keeps more of its proposals: the
+exponential one where Z_j >= P(s_j, c).  Z_j rises with j and P(s_j, c)
+falls, so the two classes are index ranges split at one edge within
+O(sqrt(c)) of theta = 1, and the better method keeps more than a third of
+its proposals (as c grows, with s = c + x sqrt(c), P -> Phi(-x) and Z -> x
+times the Mills ratio, which meet near 0.355).  A sampler call evaluates ln P
+only on a bracket of O(sqrt(c)) indices around the edge.  The module also
+evaluates the exact per-particle CDF/density in log space, and the
+exponential approximation's total-variation diagnostics: the bound as a
+positive series, the exact distance by quadrature as its oracle.
 
 Reproducibility: each configuration draws from its own counter-based Philox
 stream keyed by (seed, stream), in a fixed order: one draw holds its
@@ -51,10 +51,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammaln, ndtri
 
-from .special_functions import (
-    inv_log_reg_lower_gamma,
-    log_reg_lower_gamma,
-)
+from .special_functions import log_reg_lower_gamma
 
 __all__ = [
     "EnsembleParams",
@@ -69,23 +66,19 @@ __all__ = [
     "tv_upper_bound",
 ]
 
-# Uniforms are clamped into [2^-53, 1 - 2^-53] so the inverse CDF never sees
-# the p = 0 / p = 1 sentinels and no logarithm sees 0.
+# Uniforms are clamped below at 2^-53 so no logarithm sees 0.
 _U_LO = 2.0**-53
-_U_HI = 1.0 - 2.0**-53
 
-# Smallest acceptance rate for which a particle is sampled by rejection; it
-# needs at most 1/_MIN_ACCEPT proposals on average.
-_MIN_ACCEPT = 0.5
-# Each retry round keeps an entry with probability >= _MIN_ACCEPT times the
-# Marsaglia-Tsang acceptance rate (> 0.95), so an entry outlasts this many
-# rounds with probability below 2^-200.
+# Each retry round keeps an entry with probability above 0.355 (its class's
+# acceptance rate) times the Marsaglia-Tsang acceptance rate (> 0.95), so an
+# entry outlasts this many rounds with probability below 2^-118.
 _MAX_ROUNDS = 200
 # Retry slots per row, drawn with its first-round uniforms:
-# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's expected retry demand is O(sqrt(c)),
-# the rejections of the particles within O(sqrt(c)) of theta = 1; a row that
-# needs more draws a refill from its own substream.
-_RESERVOIR = 4.0
+# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's retry demand is about 2.4 sqrt(c),
+# the rejections of the particles within O(sqrt(c)) of theta = 1 (at most
+# 5.3 sqrt(c) over 2000 rows at c = 125); a row that needs more draws a
+# refill from its own substream.
+_RESERVOIR = 3.0
 
 # The TV series needs at most about 9 sqrt(c) terms, reached as theta -> 1
 # (394 at n = 1e5 for theta > 1.1); more than this means a bug.
@@ -225,33 +218,20 @@ def theta(params: EnsembleParams, j):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _u_from_uniform(params: EnsembleParams, shapes, log_p_c, uniforms) -> np.ndarray:
-    """Inverse-CDF map: uniform -> U, all arrays broadcastable.
-
-    Solves P(s, x)/P(s, c) = u for x in log space, then U = -ln(x/c)/beta.
-    """
-    u = np.clip(np.asarray(uniforms, dtype=float), _U_LO, _U_HI)
-    target = np.log(u) + log_p_c
-    x = inv_log_reg_lower_gamma(shapes, target)
-    return -params.u_scale * (np.log(x) - math.log(params.c))
-
-
 def _classes(params: EnsembleParams, js):
-    """Column indices of the exponential, gamma and inverse-window classes of
-    the particles ``js`` (any order, repeats allowed), and ln P(s, c) of the
-    window columns.
+    """Column indices of the exponential and gamma classes of the particles
+    ``js`` (any order, repeats allowed).
 
     Z = (s - c) e^c c^{-s} Gamma(s) P(s, c) = 1 - TV is the acceptance rate of
     the exponential proposal (s > c only) and rises with j; P(s, c), that of
-    the gamma one, falls with j.  So the gamma class is j <= an edge near
-    theta = 1 and the exponential class j >= an edge O(sqrt(c)) above it.
-    Both edges come from one vectorised evaluation on a bracket of about
-    3 b sqrt(c) indices either side of j = b c - alpha, doubled until its
-    lowest entry is gamma class (or j = 1) and its highest exponential class
-    (or j = n); each column is then placed by comparing its j with the edges.
-    The window lies inside the bracket, so its ln P is read from there.
+    the gamma one, falls with j.  So the exponential class, Z >= P(s, c), is
+    j >= one edge O(sqrt(c)) above theta = 1.  The edge comes from one
+    vectorised evaluation on a bracket of about 3 b sqrt(c) indices either
+    side of j = b c - alpha, doubled until its lowest entry is gamma class (or
+    j = 1) and its highest exponential class (or j = n); each column is then
+    placed by comparing its j with the edge.
     """
-    c, n, log_min = params.c, params.n, math.log(_MIN_ACCEPT)
+    c, n = params.c, params.n
     mid = min(max(round(params.b * c - params.alpha), 1), n)
     half = math.ceil(3.0 * params.b * math.sqrt(c))
     while True:
@@ -263,17 +243,13 @@ def _classes(params: EnsembleParams, js):
         sa = s[above]
         log_z = np.full(s.shape, -np.inf)
         log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p[above]
-        exp = log_z >= log_min
-        gam = ~exp & (log_p >= log_min)
-        if (gam[0] or lo == 1) and (exp[-1] or hi == n):
+        exp = log_z >= log_p
+        if (not exp[0] or lo == 1) and (exp[-1] or hi == n):
             break
         half *= 2
     first_exp = j[exp][0] if exp.any() else n + 1
-    last_gam = j[gam][-1] if gam.any() else 0
-    ja = np.asarray(js)
-    e, g = ja >= first_exp, ja <= last_gam
-    win = np.flatnonzero(~(e | g))
-    return np.flatnonzero(e), np.flatnonzero(g), win, log_p[ja[win] - lo]
+    e = np.asarray(js) >= first_exp
+    return np.flatnonzero(e), np.flatnonzero(~e)
 
 
 def _exp_proposal(params: EnsembleParams, rate, prop, accept):
@@ -347,23 +323,22 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
     acceptances per gamma column.
 
     Each row makes one Philox draw from its own stream, in this order: one
-    uniform per column (exponential proposals, gamma normals, inverse-CDF
-    uniforms), one acceptance uniform per exponential column, one per gamma
-    column, one uniform per gamma column of shape s < 1, then a reservoir of
-    retry slots, three uniforms each.  Every retry round runs over the whole
-    block: each rejected entry takes its row's next unused slot, in column
-    order, and draws its proposal (or normal), acceptance uniform and, where
-    s < 1, V from it.  A row with more rejected entries than unused slots
+    uniform per column (exponential proposals, gamma normals), one acceptance
+    uniform per exponential column, one per gamma column, one uniform per gamma
+    column of shape s < 1, then a reservoir of retry slots, three uniforms
+    each.  Every retry round runs over the whole block: each rejected entry
+    takes its row's next unused slot, in column order, and draws its proposal
+    (or normal), acceptance uniform and, where s < 1, V from it.  A row with more rejected entries than unused slots
     drops those slots and draws max(slots, entries) fresh ones from its own
     substream (counter high word = the row's refill count).  A row therefore
     depends only on (params, js, seed, its stream).  ln P(s, c) is evaluated
     only on the class-edge bracket.
     """
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
-    exp, gam, win, log_p_win = _classes(params, js)
-    m, me, mg = len(shapes), len(exp), len(gam)
+    exp, gam = _classes(params, js)
+    m, me = len(shapes), len(exp)
     shape_g = shapes[gam]
-    width = m + me + mg + int(np.count_nonzero(shape_g < 1.0))
+    width = 2 * m + int(np.count_nonzero(shape_g < 1.0))
     slots = math.ceil(_RESERVOIR * (math.sqrt(params.c) + 8.0))
     keys = _keys(seed, streams)
     rows = len(keys)
@@ -377,10 +352,9 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
     rate = np.zeros(m)
     rate[exp] = params.beta * (shapes[exp] - params.c)
     u = np.empty((rows, m))
-    u[:, win] = _u_from_uniform(params, shapes[win], log_p_win, first[:, win])
     u[:, exp], ok_e = _exp_proposal(params, rate[exp], first[:, exp], first[:, m:m + me])
     u[:, gam], mt, ok_g = _gamma_proposal(params, shape_g, first[:, gam],
-                                          first[:, m + me:m + me + mg], first[:, m + me + mg:width])
+                                          first[:, m + me:2 * m], first[:, 2 * m:width])
     counts = (int(ok_e.size - np.count_nonzero(ok_e)), int(np.count_nonzero(mt & ~ok_g)),
               np.count_nonzero(mt, axis=0))
 

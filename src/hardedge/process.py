@@ -26,7 +26,6 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.special import gammaln
 
-from . import ensemble
 from .ensemble import EnsembleParams, RadialConfiguration
 from .special_functions import log_reg_lower_gamma
 
@@ -209,9 +208,13 @@ def _tail_cutoff(params: EnsembleParams, eps: float) -> float:
 
     The truncated gamma laws are likelihood-ratio ordered in s_j, so U_j is
     stochastically decreasing in j and particle 1 has the largest quantile.
+    Prob[U_1 > T] = P(s_1, y)/P(s_1, c) with y = c e^{-beta T}, and
+    P(s, y) <= y^s / Gamma(s + 1), so ln y = (ln eps + lnGamma(s_1 + 1) +
+    ln P(s_1, c)) / s_1 is enough; it stays in log space where y underflows.
     """
     s1 = (1.0 + params.alpha) / params.b
-    return float(ensemble._u_from_uniform(params, s1, log_reg_lower_gamma(s1, params.c), eps))
+    log_y = (math.log(eps) + gammaln(s1 + 1.0) + log_reg_lower_gamma(s1, params.c)) / s1
+    return float((math.log(params.c) - log_y) / params.beta)
 
 
 def _checked(integrate, f, a: float, b: float, what: str, **opts):

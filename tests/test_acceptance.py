@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from hardedge import ensemble as ens
 from hardedge.ensemble import EnsembleParams
 from hardedge.limit_law import LimitLaw, omega1, omega2
-from hardedge.special_functions import log_reg_lower_gamma
 from hardedge.verify import (
     ExperimentConfig,
     PhiSpec,
@@ -61,17 +60,12 @@ def _ks_distance(params: EnsembleParams, j: int, draws: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(cdf - hi), np.abs(cdf - lo))))
 
 
-def _draws_for_particle(params: EnsembleParams, j: int, uni: np.ndarray,
+def _draws_for_particle(params: EnsembleParams, j: int, columns: int, streams,
                         chunks: int = 1) -> np.ndarray:
-    count = len(uni)
-    s = np.full(count, (j + params.alpha) / params.b)
-    lpc = log_reg_lower_gamma(s, params.c)
-    if chunks == 1:
-        return ens._u_from_uniform(params, s, lpc, uni)
-    pieces = []
-    for block in np.array_split(np.arange(count), chunks):
-        pieces.append(ens._u_from_uniform(params, s[block], lpc[block], uni[block]))
-    return np.concatenate(pieces)
+    """U_j in ``columns`` columns of every stream, sampled in ``chunks`` blocks of streams."""
+    js = np.full(columns, j)
+    return np.concatenate([ens._sample(params, js, MASTER_SEED, block)[0]
+                           for block in np.array_split(np.asarray(streams), chunks)])
 
 
 def _sampler_draws(params: EnsembleParams, j: int, seed: int, count: int) -> np.ndarray:
@@ -257,12 +251,12 @@ def test_criterion_8_hitting_time_fclt():
     assert elapsed < 300.0
 
 
-def test_criterion_9_determinism(uniform_stream):
+def test_criterion_9_determinism():
     t0 = time.perf_counter()
     # criterion 2 draws: byte-identical under a different computation split
-    uni = uniform_stream(MASTER_SEED, 60, 100_000)
-    d1 = _draws_for_particle(CANON, 60, uni, chunks=1)
-    d2 = _draws_for_particle(CANON, 60, uni, chunks=7)
+    streams = np.arange(200)
+    d1 = _draws_for_particle(CANON, 60, 500, streams, chunks=1)
+    d2 = _draws_for_particle(CANON, 60, 500, streams, chunks=7)
     draws_ok = d1.tobytes() == d2.tobytes()
 
     # criteria 4 and 8 reports: byte-identical across worker counts

@@ -10,8 +10,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from hardedge import ensemble as ens
-from hardedge import process as proc
-from hardedge import special_functions as sf
 from hardedge.ensemble import EnsembleParams, RadialConfiguration
 from hardedge.limit_law import omega1
 from hardedge.special_functions import log_reg_lower_gamma
@@ -35,16 +33,6 @@ SPREAD = [
 ]
 
 
-def sample_radius_u(params: EnsembleParams, j: int, uniform: float) -> float:
-    """One inverse-CDF draw of U_j from its uniform, deterministic in (params, j, uniform)."""
-    ja = ens._check_index(params, j)
-    uf = float(uniform)
-    if not (0.0 < uf < 1.0):
-        raise ValueError(f"uniform must lie strictly inside (0, 1), got {uniform!r}")
-    s = (ja + params.alpha) / params.b
-    return float(ens._u_from_uniform(params, s, log_reg_lower_gamma(s, params.c), uf))
-
-
 def _ks_of_draws(params: EnsembleParams, j: int, draws: np.ndarray) -> float:
     draws = np.sort(draws)
     cdf = ens.cdf_u(params, j, draws)
@@ -52,30 +40,29 @@ def _ks_of_draws(params: EnsembleParams, j: int, draws: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / draws.size)))))
 
 
-def _ks_distance(params: EnsembleParams, j: int, uni: np.ndarray) -> float:
-    """KS distance between inverse-CDF draws of U_j and its exact CDF."""
-    shapes = np.full(uni.size, (j + params.alpha) / params.b)
-    return _ks_of_draws(params, j, ens._u_from_uniform(
-        params, shapes, log_reg_lower_gamma(shapes, params.c), uni))
-
-
 def _particle_draws(params: EnsembleParams, j: int, seed: int, count: int) -> np.ndarray:
     """``count`` draws of U_j through the sampler: one stream, j in every column."""
     return ens._sample(params, np.full(count, j), seed, [j])[0][0]
 
 
-def classes_elementwise(params: EnsembleParams, js):
-    """Oracle of ``ens._classes``: every column classified from its own ln P(s_j, c)."""
+def acceptance_rates(params: EnsembleParams, js):
+    """ln P(s_j, c) and ln Z_j (-inf for s_j <= c), the acceptance rates of the
+    gamma and exponential proposals, each from its own column."""
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
     log_p_c = log_reg_lower_gamma(shapes, params.c)
-    c, log_min = params.c, math.log(ens._MIN_ACCEPT)
+    c = params.c
     above = shapes > c
     log_z = np.full(shapes.shape, -np.inf)
     sa = shapes[above]
     log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p_c[above]
-    exp = log_z >= log_min
-    gam = ~exp & (log_p_c >= log_min)
-    return np.flatnonzero(exp), np.flatnonzero(gam), np.flatnonzero(~(exp | gam))
+    return log_p_c, log_z
+
+
+def classes_elementwise(params: EnsembleParams, js):
+    """Oracle of ``ens._classes``: every column takes the proposal that keeps more."""
+    log_p_c, log_z = acceptance_rates(params, js)
+    exp = log_z >= log_p_c
+    return np.flatnonzero(exp), np.flatnonzero(~exp)
 
 
 def _params_id(p: EnsembleParams) -> str:
@@ -83,7 +70,7 @@ def _params_id(p: EnsembleParams) -> str:
 
 
 def _classes(params: EnsembleParams):
-    return ens._classes(params, np.arange(1, params.n + 1))[:3]
+    return ens._classes(params, np.arange(1, params.n + 1))
 
 
 # Parameter edges for the class edges: alpha -> -1, n = 1 and 2, rho at
@@ -143,24 +130,11 @@ class TestTheta:
 
 
 class TestSampling:
-    def test_uniform_near_one_gives_small_u(self):
-        u_hi = sample_radius_u(CANON, 40, 1.0 - 1e-12)
-        u_mid = sample_radius_u(CANON, 40, 0.5)
-        assert 0.0 <= u_hi < 1e-6
-        assert u_hi < u_mid  # U strictly decreasing in the uniform
-
     def test_radius_recovery_in_unit_interval(self):
-        for j in (1, 25, 60, 100):
-            for uni in (0.01, 0.37, 0.93):
-                u = sample_radius_u(CANON, j, uni)
-                r = math.exp(-CANON.b * u / (CANON.n * CANON.kappa))
-                assert 0.0 < r <= 1.0
-
-    def test_invalid_uniform(self):
-        with pytest.raises(ValueError):
-            sample_radius_u(CANON, 10, 0.0)
-        with pytest.raises(ValueError):
-            sample_radius_u(CANON, 10, 1.0)
+        # both classes and both sides of the edge at j = 26 | 27
+        u = ens.sample_batch(CANON, 8, range(50))[:, [0, 24, 25, 26, 27, 59, 99]]
+        r = np.exp(-CANON.b * u / (CANON.n * CANON.kappa))
+        assert np.all((r > 0.0) & (r <= 1.0))
 
     def test_determinism_and_sensitivity(self):
         c1 = ens.sample_configuration(CANON, 123)
@@ -197,24 +171,24 @@ class TestSampling:
         # 2e4 draws for one particle against the exact CDF; the acceptance
         # suite runs the full 1e5-draw version for three particles.
         j, ndraw = 60, 20000
-        rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
-        assert _ks_distance(CANON, j, rng.random(ndraw)) < 1.63 / math.sqrt(ndraw)
+        assert _ks_of_draws(CANON, j, _particle_draws(CANON, j, 7, ndraw)) < 1.63 / math.sqrt(ndraw)
 
     @pytest.mark.parametrize("j", [40_000, 90_000])
-    def test_empirical_law_ks_deep_tail(self, j, uniform_stream):
-        # both particles sit on the deep-tail inverse (P(s_j, c) < 1e-280)
+    def test_empirical_law_ks_deep_tail(self, j):
+        # both particles have P(s_j, c) < 1e-280, so cdf_u works in log space
         ndraw = 100_000
-        uni = uniform_stream(42, j, ndraw)
-        assert _ks_distance(LARGE, j, uni) < 1.63 / math.sqrt(ndraw)
+        draws = _particle_draws(LARGE, j, 42, ndraw)
+        assert _ks_of_draws(LARGE, j, draws) < 1.63 / math.sqrt(ndraw)
 
-    def test_round_trip_at_large_n(self, uniform_stream):
-        # cdf_u(U_j) = 1 - u for the inverse map of every particle of an
-        # n = 1e5 row of uniforms, about 70% of which take the deep-tail inverse
-        uni = np.clip(uniform_stream(42, 0, LARGE.n), ens._U_LO, ens._U_HI)
-        shapes = LARGE.shapes()
-        u = ens._u_from_uniform(LARGE, shapes, log_reg_lower_gamma(shapes, LARGE.c), uni)
-        cdf = ens.cdf_u(LARGE, np.arange(1, LARGE.n + 1), u)
-        assert np.max(np.abs(cdf - (1.0 - uni))) <= 1e-9
+    def test_round_trip_at_large_n(self):
+        # probability integral transform: cdf_u(U_j) of the n = 1e5 independent
+        # particles of one sampled row are n draws of U(0, 1); for the three
+        # quarters with P(s_j, c) < 1/2 cdf_u works in log space
+        u = ens.sample_batch(LARGE, 42, [0])[0]
+        pit = np.sort(ens.cdf_u(LARGE, np.arange(1, LARGE.n + 1), u))
+        grid = np.arange(1, LARGE.n + 1) / LARGE.n
+        ks = np.max(np.maximum(np.abs(pit - grid), np.abs(pit - (grid - 1.0 / LARGE.n))))
+        assert ks < 1.63 / math.sqrt(LARGE.n)
 
     def test_low_coordinate_fraction_concentrates(self):
         # the fraction of coordinates below 50 matches its exact finite-n
@@ -237,21 +211,20 @@ class TestSampling:
 
 class TestRejectionSampler:
     def test_classes_at_canon(self):
-        # c = 25: gamma class up to theta = 1, inverse window j = 26, 27,
-        # exponential class from j = 28 on
-        exp, gam, win = _classes(CANON)
-        assert np.array_equal(gam + 1, np.arange(1, 26))
-        assert np.array_equal(win + 1, [26, 27])
-        assert np.array_equal(exp + 1, np.arange(28, 101))
+        # c = 25: gamma class up to j = 26 (P(s, c) = 0.45 against Z = 0.22),
+        # exponential class from j = 27 on (Z = 0.388 against P(s, c) = 0.371)
+        exp, gam = _classes(CANON)
+        assert np.array_equal(gam + 1, np.arange(1, 27))
+        assert np.array_equal(exp + 1, np.arange(27, 101))
 
     @pytest.mark.parametrize("params, j", [(CANON, 28), (CANON, 100), (CANON, 25), (CANON, 26),
                                            (SPREAD[1], 1)],
                              ids=["28", "100", "25", "26", "shape-0.2"])
     def test_particle_law_ks(self, params, j):
-        # exponential class just above its threshold (j = 28, TV bound 0.49)
-        # and at theta = 4; gamma class just below its threshold (j = 25,
-        # P(s, c) = 0.53); inverse window at theta = 1.04; gamma class at
-        # s = 0.2, drawn as a Gamma(1.2) proposal times V^(1/0.2)
+        # exponential class near its edge (j = 28, TV bound 0.49) and at
+        # theta = 4; gamma class at theta = 1 (j = 25, P(s, c) = 0.53) and at
+        # its edge (j = 26, P(s, c) = 0.45); gamma class at s = 0.2, drawn as
+        # a Gamma(1.2) proposal times V^(1/0.2)
         ndraw = 100_000
         draws = _particle_draws(params, j, 7, ndraw)
         assert _ks_of_draws(params, j, draws) < 1.63 / math.sqrt(ndraw)
@@ -260,7 +233,7 @@ class TestRejectionSampler:
         # each first-round exponential proposal is rejected with probability
         # 1 - Z_j, which the TV series gives independently
         rows = 2000
-        exp, _, _ = _classes(CANON)
+        exp, _ = _classes(CANON)
         tv = ens.tv_upper_bound(CANON, exp + 1)
         _, (rejected, _, _) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
         z = (rejected - rows * tv.sum()) / math.sqrt(rows * np.sum(tv * (1.0 - tv)))
@@ -270,7 +243,7 @@ class TestRejectionSampler:
         # a proposal that passes the Marsaglia-Tsang test is an exact
         # Gamma(s) draw, so it lies beyond c with probability 1 - P(s, c)
         rows = 2000
-        _, gam, _ = _classes(CANON)
+        _, gam = _classes(CANON)
         q = -np.expm1(log_reg_lower_gamma(CANON.shapes()[gam], CANON.c))
         _, (_, rejected, tried) = ens._sample(CANON, np.arange(1, CANON.n + 1), 3, range(rows))
         assert np.all(tried > 0.9 * rows)
@@ -330,11 +303,11 @@ class TestRejectionSampler:
         assert _ks_of_draws(CANON, 28, draws) < 1.63 / math.sqrt(ndraw)
 
     def test_marsaglia_tsang_law_ks_at_large_shape(self):
-        # the last gamma-class particle at c = 2500: shape about c, about
-        # half its proposals truncated
+        # the last gamma-class particle at c = 2500: shape about c, nearly
+        # two thirds of its proposals truncated
         params = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=10_000)
         j = int(_classes(params)[1][-1]) + 1
-        assert 0.5 <= math.exp(log_reg_lower_gamma(j + params.alpha, params.c)) < 0.6
+        assert 1.0 / 3.0 <= math.exp(log_reg_lower_gamma(j + params.alpha, params.c)) < 0.4
         ndraw = 100_000
         draws = _particle_draws(params, j, 11, ndraw)
         assert _ks_of_draws(params, j, draws) < 1.63 / math.sqrt(ndraw)
@@ -371,33 +344,21 @@ class TestRejectionSampler:
         with pytest.raises(ArithmeticError):
             ens.sample_batch(CANON, 1, range(4))
 
-    def test_never_reaches_deep_inverse(self, monkeypatch):
-        def deep(*args):
-            raise AssertionError("the sampler reached the deep-tail inverse")
-
-        monkeypatch.setattr(sf, "_inv_log_p_deep", deep)
-        for params in SPREAD:
-            u = ens.sample_batch(params, 5, range(3))
-            assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
-        # mean_exact's t = inf cutoff inverts particle 1's tail alone; the
-        # quadrature over 1e5 components takes seconds, so LARGE calls the
-        # cutoff itself and the other sets the whole mean_exact
-        assert math.isfinite(proc._tail_cutoff(LARGE, 1e-14))
-        for params in SPREAD[1:]:
-            assert proc.mean_exact(params, proc.phi_one(), math.inf) == pytest.approx(1.0, abs=1e-8)
-
     @staticmethod
     def _check_classes(params, js):
-        exp, gam, win, log_p_win = ens._classes(params, js)
-        want = classes_elementwise(params, js)
-        for got, w in zip((exp, gam, win), want):
-            assert np.array_equal(got, w)
-        shapes = (np.asarray(js, dtype=float)[win] + params.alpha) / params.b
-        assert np.array_equal(log_p_win, log_reg_lower_gamma(shapes, params.c))
+        for got, want in zip(ens._classes(params, js), classes_elementwise(params, js)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("params", CLASS_EDGE_SETS, ids=_params_id)
     def test_class_edges_match_elementwise(self, params):
         self._check_classes(params, np.arange(1, params.n + 1))
+
+    @pytest.mark.parametrize("params", CLASS_EDGE_SETS, ids=_params_id)
+    def test_every_class_keeps_a_third_of_its_proposals(self, params):
+        # the floor behind _MAX_ROUNDS: each particle's class keeps more than
+        # 1/3 of its proposals (the minimum tends to about 0.355 as c grows)
+        log_p_c, log_z = acceptance_rates(params, np.arange(1, params.n + 1))
+        assert np.min(np.maximum(log_p_c, log_z)) >= math.log(1.0 / 3.0)
 
     @pytest.mark.parametrize("params", [CANON, SPREAD[2], SPREAD[3]], ids=_params_id)
     def test_class_edges_unsorted_and_repeated_columns(self, params):
@@ -409,8 +370,8 @@ class TestRejectionSampler:
             self._check_classes(params, js)
 
     def test_log_p_work_is_order_sqrt_c(self, monkeypatch):
-        # ln P is needed only near theta = 1: the class-edge bracket, which
-        # holds the inverse window, O(sqrt(c)) entries instead of n = 1e5
+        # ln P is needed only near theta = 1: the class-edge bracket,
+        # O(sqrt(c)) entries instead of n = 1e5
         seen = []
         inner = ens.log_reg_lower_gamma
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincinv
 
 from hardedge import ensemble as ens
 from hardedge import process as proc
@@ -29,6 +31,25 @@ def mean_exact_counting(params: EnsembleParams, t) -> float:
     """(1/n) sum_j Prob[U_j <= t]: independent closed-ish form for phi = 1."""
     j = np.arange(1, params.n + 1)
     return float(np.mean(ens.cdf_u(params, j, float(t))))
+
+
+def tail_cutoff_oracle(params: EnsembleParams, eps: float) -> float:
+    """The 1 - eps quantile of U_1, inverting P(s_1, y) = eps P(s_1, c) in linear space."""
+    s1 = (1.0 + params.alpha) / params.b
+    y = gammaincinv(s1, eps * gammainc(s1, params.c))
+    return (math.log(params.c) - math.log(y)) / params.beta
+
+
+# t = inf sets: n = 50, alpha -> -1 (s_1 = 0.001), and the sets the sampler tests spread over
+MEAN_AT_INF_SETS = [
+    EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50),
+    EnsembleParams(alpha=-0.999, b=1.0, rho=0.5, n=3),
+    EnsembleParams(alpha=-0.9, b=0.5, rho=0.9, n=1000),
+    EnsembleParams(alpha=3.0, b=3.0, rho=0.8, n=500),
+    EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=50),
+    EnsembleParams(alpha=1.0, b=1.0, rho=0.1, n=10_000),
+    EnsembleParams(alpha=0.5, b=0.5, rho=0.3, n=2000),
+]
 
 
 def make_config(u, params=None):
@@ -175,8 +196,31 @@ class TestMeanExact:
         assert mean_exact(CANON, proc.phi_one(), 0.0) == 0.0
 
     def test_total_probability(self):
-        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
-        assert mean_exact(p, proc.phi_one(), math.inf) == pytest.approx(1.0, abs=1e-8)
+        # at alpha = -0.999 the 1 - 1e-14 quantile of U_1 has y = c e^{-beta T}
+        # near e^-32000, far below the smallest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in MEAN_AT_INF_SETS:
+                assert mean_exact(p, proc.phi_one(), math.inf) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("params", [
+        EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500),
+        EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000),
+        EnsembleParams(alpha=-0.9, b=0.5, rho=0.5, n=200),
+        EnsembleParams(alpha=1.0, b=3.0, rho=0.6, n=300),
+    ], ids=lambda p: f"a{p.alpha:g}-b{p.b:g}-n{p.n}")
+    def test_tail_cutoff_matches_quantile(self, params):
+        # at eps = 1e-14 the bound P(s, y) <= y^s / Gamma(s + 1) is tight to
+        # O(y), far below double precision
+        assert proc._tail_cutoff(params, 1e-14) == pytest.approx(
+            tail_cutoff_oracle(params, 1e-14), rel=1e-15, abs=0.0)
+
+    def test_tail_cutoff_near_alpha_minus_one(self):
+        # U_1 has shape s_1 = 0.001: the quantile is 72 532.85, where y underflows
+        params = EnsembleParams(alpha=-0.999, b=1.0, rho=0.5, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert proc._tail_cutoff(params, 1e-14) == pytest.approx(72532.85, abs=0.01)
 
     def test_counting_cross_check(self):
         # two independent computation paths: per-particle quadrature vs CDF sum
