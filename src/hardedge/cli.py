@@ -2,7 +2,8 @@
 and run verification campaigns.
 
 Exit codes: 0 success (and all campaign assertions pass), 1 campaign
-assertion failure, 2 configuration/validation error.  Every run logs its
+assertion failure, 2 configuration/validation error, 3 a numerical routine
+missed its stated tolerance (``ArithmeticError``).  Every run logs its
 fully resolved configuration (defaults and seed included) into the output,
 so a rerun from the header reproduces the run byte for byte.
 """
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

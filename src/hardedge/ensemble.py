@@ -28,7 +28,8 @@ times the Mills ratio, which meet near 0.355).  A sampler call evaluates ln P
 only on a bracket of O(sqrt(c)) indices around the edge.  The module also
 evaluates the exact per-particle CDF/density in log space, and the
 exponential approximation's total-variation diagnostics: the bound as a
-positive series, the exact distance by quadrature as its oracle.
+positive series and the exact distance in closed form, at the one point where
+the two densities cross (the test suite checks it against quadrature).
 
 Reproducibility: each configuration draws from its own counter-based Philox
 stream keyed by (seed, stream), in a fixed order: one draw holds its
@@ -48,7 +49,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammaln, ndtri
 
 from .special_functions import log_reg_lower_gamma
@@ -79,6 +79,10 @@ _MAX_ROUNDS = 200
 # 5.3 sqrt(c) over 2000 rows at c = 125); a row that needs more draws a
 # refill from its own substream.
 _RESERVOIR = 3.0
+
+# Newton on the TV crossing point converges quadratically once above the
+# root, to within rounding (a few 1e-16 in y); more steps than this means a bug.
+_TV_MAX_NEWTON = 100
 
 # The TV series needs at most about 9 sqrt(c) terms, reached as theta -> 1
 # (394 at n = 1e5 for theta > 1.1); more than this means a bug.
@@ -218,6 +222,12 @@ def theta(params: EnsembleParams, j):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _log_z(params: EnsembleParams, s, log_p):
+    """ln Z = ln((s - c) e^c c^{-s} Gamma(s) P(s, c)) for s > c, given ln P(s, c)."""
+    c = params.c
+    return np.log(s - c) + c - s * math.log(c) + gammaln(s) + log_p
+
+
 def _classes(params: EnsembleParams, js):
     """Column indices of the exponential and gamma classes of the particles
     ``js`` (any order, repeats allowed).
@@ -240,9 +250,8 @@ def _classes(params: EnsembleParams, js):
         s = (j + params.alpha) / params.b
         log_p = log_reg_lower_gamma(s, c)
         above = s > c
-        sa = s[above]
         log_z = np.full(s.shape, -np.inf)
-        log_z[above] = np.log(sa - c) + c - sa * math.log(c) + gammaln(sa) + log_p[above]
+        log_z[above] = _log_z(params, s[above], log_p[above])
         exp = log_z >= log_p
         if (not exp[0] or lo == 1) and (exp[-1] or hi == n):
             break
@@ -529,19 +538,27 @@ def tv_upper_bound(params: EnsembleParams, j):
 
 
 def exact_tv_exponential(params: EnsembleParams, j) -> float:
-    """Exact TV distance (1/2) * int |f_U - f_E| between U_j and its
-    exponential approximant, by adaptive quadrature; oracle for the bound."""
+    """Exact TV distance (1/2) int |f_U - f_E| between U_j and its
+    exponential approximant, in closed form.
+
+    f_U / f_E = w / Z with w non-increasing from w(0) = 1, so the densities
+    cross once, where w(x*) = Z, and the distance is F_U(x*) - F_E(x*).  With
+    y = beta x*, c (e^{-y} - 1 + y) = -ln Z is solved by Newton's method: the
+    left side is convex and increasing, so from its quadratic approximation
+    the first step lands above the root and the rest decrease to it; the
+    distance is stationary at x*, so an error in x* enters it squared.  ln Z
+    comes from the gamma-function formula, independent of the series of
+    ``tv_upper_bound``, which the distance is checked against.
+    """
     rate = exp_rate(params, j)
     s = (j + params.alpha) / params.b
-    beta, c = params.beta, params.c
-    log_norm = _log_norm(params, s)
-    val, _ = quad(
-        lambda x: abs(math.exp(log_norm - beta * s * x - c * math.exp(-beta * x))
-                      - rate * math.exp(-rate * x)),
-        0.0,
-        np.inf,
-        epsabs=1e-11,
-        epsrel=1e-9,
-        limit=300,
-    )
-    return 0.5 * float(val)
+    c = params.c
+    target = -float(_log_z(params, s, log_reg_lower_gamma(s, c)))
+    y = math.sqrt(2.0 * target / c)
+    for _ in range(_TV_MAX_NEWTON):
+        step = (c * (math.expm1(-y) + y) - target) / (-c * math.expm1(-y))
+        y -= step
+        if abs(step) <= 1e-10 * y + 1e-15:
+            x = y / params.beta
+            return float(cdf_u(params, j, x)) + math.expm1(-rate * x)
+    raise ArithmeticError(f"TV crossing point of particle {j} did not converge; this is a bug")

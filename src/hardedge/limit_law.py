@@ -18,8 +18,10 @@ points; no quadrature is nested.  A Gram matrix is a weighted sum of
 covariance matrices, so it is positive semidefinite by construction (up to
 the x tolerance), and it is built exactly symmetric.  A_k <= phi.bound^k
 also at t = +inf, so one absolute tolerance serves every column.  Every
-quadrature raises ``ArithmeticError`` when its error estimate exceeds its
-tolerance.  For positive phi, tau inverts m1 (a 1-d quadrature) below
+integral in x, of m_k and of the table, goes through
+:func:`hardedge.quadrature.integrate`, which evaluates all nodes of a rule
+in one call and raises ``ArithmeticError`` when its error estimate exceeds
+its tolerance.  For positive phi, tau inverts m1 (a 1-d quadrature) below
 L = m1(inf); the hitting-time limit has covariance tau'(h1) tau'(h2)
 cov(tau(h1), tau(h2)).
 """
@@ -33,11 +35,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 from scipy.special import gammainc, roots_legendre
 
 from .ensemble import EnsembleParams
-from .process import TestFunction, _checked
+from .process import TestFunction
+from .quadrature import integrate
 
 __all__ = [
     "omega1",
@@ -83,7 +85,8 @@ _TAU_MAX_ITER = 200
 # Rate nodes: _S_ORDER-point Gauss-Legendre on each geometric panel [0, 2^-11],
 # [2^-11, 2^-10], ..., [1/2, 1], which resolve the s ln s of a t = +inf column
 # (phi = rational) near s = 0.  The table's max-norm tolerance per unit of its
-# largest entry sits above quad_vec's own rounding estimate (about 1e-14).
+# largest entry sits above the integrator's rounding estimate, 50 eps times
+# the integral of |integrand| (about 1e-14).
 _S_PANELS = 12
 _S_ORDER = 16
 _TABLE_EPSABS = 1e-12
@@ -163,10 +166,10 @@ class LimitLaw:
             return 0.0
         phi = self.phi
 
-        def integrand(x: float) -> float:
-            return float(phi(x)) ** k * omega1(x)
+        def integrand(x: np.ndarray) -> np.ndarray:
+            return phi(x) ** k * omega1(x)
 
-        return self.kappa * _checked(quad, integrand, 0.0, tf, f"m_{k}({tf!r})", **_QUAD_OPTS)
+        return self.kappa * float(integrate(integrand, 0.0, tf, f"m_{k}({tf!r})", **_QUAD_OPTS))
 
     def m1(self, t) -> float:
         return self.m_k(1, t)
@@ -184,10 +187,10 @@ class LimitLaw:
         phi = self.phi
         s, w = _rate_nodes()
 
-        def integrand(x: float) -> np.ndarray:
-            p = float(phi(x))
-            e = s * np.exp(-s * x)
-            return np.stack((p * e, p * p * e))
+        def integrand(x: np.ndarray) -> np.ndarray:
+            p = phi(x)[:, None, None]
+            e = s * np.exp(-np.multiply.outer(x, s))[:, None, :]
+            return np.concatenate((p * e, p * p * e), axis=1)
 
         tol = _TABLE_EPSABS * max(phi.bound, phi.bound**2)
         order = np.argsort(t, kind="stable")
@@ -195,8 +198,8 @@ class LimitLaw:
         lo = 0.0
         for i, hi in zip(order, t[order].tolist()):
             if hi > lo:
-                gaps[i] = _checked(quad_vec, integrand, lo, hi, f"rate table on [{lo!r}, {hi!r}]",
-                                   epsabs=tol, epsrel=0.0, norm="max")
+                gaps[i] = integrate(integrand, lo, hi, f"rate table on [{lo!r}, {hi!r}]",
+                                    epsabs=tol, epsrel=0.0, limit=_QUAD_OPTS["limit"])
                 lo = hi
         table = np.empty_like(gaps)
         table[order] = np.cumsum(gaps[order], axis=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hardedge.limit_law as ll
 from hardedge.cli import main, parse_grid
 from hardedge.ensemble import EnsembleParams, sample_configuration
 
@@ -125,6 +126,16 @@ class TestLimitCommand:
     def test_empty_grid_exits_2(self, tmp_path):
         code = main(["limit", "--grid", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_missed_tolerance_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one subinterval cannot meet the m1 tolerance: ArithmeticError, not a
+        # traceback with the exit status of a failed campaign assertion
+        monkeypatch.setitem(ll._QUAD_OPTS, "limit", 1)
+        out = tmp_path / "limit.csv"
+        assert main(["limit", "--grid", "0.5,inf", "--phi", "rational", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "quadrature error estimate" in err
+        assert not out.exists()
 
     def test_json_csv_parity(self, tmp_path):
         args = ["limit", "--grid", "0.5,2", "--levels", "0.1,0.3", "--phi", "one"]

@@ -112,7 +112,6 @@ class TestMoments:
         with pytest.raises(ValueError):
             law.m_k(3, 1.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # QUADPACK stops at one subinterval with its estimate above tolerance
         monkeypatch.setitem(ll._QUAD_OPTS, "limit", 1)
@@ -381,7 +380,7 @@ class TestRateMixture:
         assert law.cov_statistic(4.0, 0.5) == law.cov_statistic(0.5, 4.0)
 
     def test_table_error_check_raises(self, monkeypatch):
-        # below quad_vec's own rounding estimate the tolerance is out of reach
+        # below the integrator's own rounding estimate the tolerance is out of reach
         monkeypatch.setattr(ll, "_TABLE_EPSABS", 1e-20)
         law = LimitLaw(CANON, proc.phi_rational())
         with pytest.raises(ArithmeticError):

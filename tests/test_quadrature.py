@@ -1,0 +1,119 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+import hardedge
+from hardedge.quadrature import integrate
+
+OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+
+
+class Counted:
+    """An integrand that records the node arrays it is called with."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return self.fn(x)
+
+
+def _vector(x):
+    # shape (nodes, 2, 2): smooth, peaked, oscillating and kinked components
+    return np.stack((np.stack((np.exp(-x), 1.0 / (1.0 + 100.0 * (x - 0.3) ** 2)), axis=1),
+                     np.stack((np.sin(5.0 * x) ** 2, np.abs(x - 0.7) ** 1.5), axis=1)), axis=1)
+
+
+def _component(i, k):
+    return lambda x: float(_vector(np.array([x]))[0, i, k])
+
+
+class TestIntegrate:
+    def test_vector_components_match_quad(self):
+        val = integrate(_vector, 0.0, 2.0, "vector", **OPTS)
+        assert val.shape == (2, 2)
+        for i in range(2):
+            for k in range(2):
+                ref = quad(_component(i, k), 0.0, 2.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                assert val[i, k] == pytest.approx(ref, rel=1e-11, abs=1e-13)
+
+    def test_scalar_integrand_on_half_line(self):
+        val = integrate(lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, "arctan", **OPTS)
+        assert np.ndim(val) == 0
+        assert float(val) == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+    def test_vector_on_half_line_from_nonzero_origin(self):
+        def f(x):
+            return np.stack((np.exp(-x), x * np.exp(-0.5 * x), 1.0 / (1.0 + x) ** 2), axis=1)
+
+        val = integrate(f, 1.5, math.inf, "tails", **OPTS)
+        for k in range(3):
+            ref = quad(lambda x: float(f(np.array([x]))[0, k]), 1.5, math.inf,
+                       epsabs=1e-14, epsrel=1e-13)[0]
+            assert val[k] == pytest.approx(ref, rel=1e-11)
+        assert val[0] == pytest.approx(math.exp(-1.5), rel=1e-12)
+
+    def test_empty_interval_is_zero_with_the_integrand_shape(self):
+        f = Counted(lambda x: np.ones((len(x), 3)) * x[:, None])
+        val = integrate(f, 2.0, 2.0, "empty", epsabs=0.0, epsrel=0.0, limit=1)
+        assert val.shape == (3,)
+        assert np.array_equal(val, np.zeros(3))
+
+    def test_nodes_of_a_rule_in_one_call(self):
+        f = Counted(lambda x: 1.0 / (1.0 + 100.0 * (x - 0.3) ** 2))
+        integrate(f, 0.0, 1.0, "peak", **OPTS)
+        assert len(f.calls) > 2  # it subdivided
+        assert f.calls[0].shape == (21,)
+        # every later call evaluates both halves of one bisection
+        assert all(x.shape == (42,) for x in f.calls[1:])
+        assert all(((x > 0.0) & (x < 1.0)).all() for x in f.calls)
+
+    def test_limit_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="sqrt"):
+                integrate(np.sqrt, 0.0, 1.0, "sqrt", epsabs=1e-14, epsrel=0.0, limit=1)
+            # the same integrand converges when it may subdivide
+            assert integrate(np.sqrt, 0.0, 1.0, "sqrt", epsabs=1e-12, epsrel=0.0,
+                             limit=300) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_tolerance_below_rounding_raises_at_once(self):
+        # 50 eps int |f| bounds the estimate from below, so no subdivision helps
+        f = Counted(np.exp)
+        with pytest.raises(ArithmeticError):
+            integrate(f, 0.0, 1.0, "rounding", epsabs=1e-20, epsrel=0.0, limit=10_000)
+        assert len(f.calls) == 1
+
+    def test_max_norm_tolerance(self):
+        # the small component alone would not need a split; the max norm is
+        # taken over components, so the relative tolerance follows the large one
+        def f(x):
+            return np.stack((1e6 * np.exp(-x), 1e-9 * np.cos(40.0 * x)), axis=1)
+
+        val = integrate(f, 0.0, 1.0, "scaled", epsabs=0.0, epsrel=1e-12, limit=200)
+        assert val[0] == pytest.approx(1e6 * -math.expm1(-1.0), rel=1e-12)
+        assert abs(val[1] - 1e-9 * math.sin(40.0) / 40.0) <= 1e-12 * 1e6
+
+    def test_non_finite_integrand_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, "inf", **OPTS)
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    src = os.path.dirname(os.path.dirname(hardedge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hardedge; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
