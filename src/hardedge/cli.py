@@ -139,9 +139,9 @@ def _cmd_sample(args) -> int:
 
 def _limit_rows(law: LimitLaw, grid, levels) -> list:
     rows = [("kappa", None, None, law.kappa)]
-    for t in grid:
-        rows.append(("m1", float(t), None, law.m1(t)))
-        rows.append(("m2", float(t), None, law.m2(t)))
+    for t, m1, m2 in zip(grid, *law.moments(grid)):
+        rows.append(("m1", float(t), None, float(m1)))
+        rows.append(("m2", float(t), None, float(m2)))
     rows.append(("m1", float("inf"), None, law.mass_limit))
     rows += _upper_triangle("cov", grid, law.gram_statistic(grid))
     if law.phi.positive and levels:

@@ -12,18 +12,23 @@ m_k(t) = kappa int_0^t phi^k omega1 = kappa int_0^1 A_k(t, s) ds, m12(t1, t2)
 
     cov(t1, t2) = kappa int_0^1 Cov(phi(Y_s) 1[Y_s <= t1], phi(Y_s) 1[Y_s <= t2]) ds.
 
+m1 and m2 at any set of points come from one cumulative pass: one batched
+quadrature over the gaps between the sorted points, then a cumulative sum.
 Second moments are read off one table of A_1, A_2 on fixed Gauss-Legendre
-nodes in s, filled by one vector quadrature in x per gap between sorted
-points; no quadrature is nested.  A Gram matrix is a weighted sum of
+nodes in s, filled the same way, with one vector quadrature in x per gap;
+no quadrature is nested.  A Gram matrix is a weighted sum of
 covariance matrices, so it is positive semidefinite by construction (up to
 the x tolerance), and it is built exactly symmetric.  A_k <= phi.bound^k
 also at t = +inf, so one absolute tolerance serves every column.  Every
 integral in x, of m_k and of the table, goes through
-:func:`hardedge.quadrature.integrate`, which evaluates all nodes of a rule
+:func:`hardedge.quadrature.integrate`, which evaluates all nodes of a round
 in one call and raises ``ArithmeticError`` when its error estimate exceeds
-its tolerance.  For positive phi, tau inverts m1 (a 1-d quadrature) below
-L = m1(inf); the hitting-time limit has covariance tau'(h1) tau'(h2)
-cov(tau(h1), tau(h2)).
+its tolerance.  For positive phi, tau inverts m1 below L = m1(inf) at all
+levels together: the pass gives m1 at the doubling knots 1, 2, 4, ..., each
+level is bracketed between two knots and runs its own safeguarded Newton
+iteration, and every iterate's m1(t) = m1(knot) + int_knot^t comes from one
+batched quadrature over the levels not yet converged.  The hitting-time
+limit has covariance tau'(h1) tau'(h2) cov(tau(h1), tau(h2)).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, roots_legendre
+from scipy.special import gammainc
 
 from .ensemble import EnsembleParams
 from .process import TestFunction
@@ -82,21 +87,38 @@ def omega2(x):
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
 _TAU_MAX_ITER = 200
 
-# Rate nodes: _S_ORDER-point Gauss-Legendre on each geometric panel [0, 2^-11],
+# Rate nodes: 16-point Gauss-Legendre on each geometric panel [0, 2^-11],
 # [2^-11, 2^-10], ..., [1/2, 1], which resolve the s ln s of a t = +inf column
 # (phi = rational) near s = 0.  The table's max-norm tolerance per unit of its
 # largest entry sits above the integrator's rounding estimate, 50 eps times
 # the integral of |integrand| (about 1e-14).
 _S_PANELS = 12
-_S_ORDER = 16
 _TABLE_EPSABS = 1e-12
 
 
 def _rate_nodes():
-    x, w = roots_legendre(_S_ORDER)
+    x, w = np.polynomial.legendre.leggauss(16)
     edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - _S_PANELS, 1)))
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+_S_NODES, _S_WEIGHTS = _rate_nodes()
+
+# tau brackets each level between the doubling knots 0, 1, 2, 4, ..., 2^46.
+_TAU_KNOTS = np.concatenate(([0.0], 2.0 ** np.arange(47)))
+
+
+def _cumulative(integrand, points, what: str, **opts) -> np.ndarray:
+    """int_0^t integrand at every t of ``points`` (any order, repeats and +inf
+    allowed): one batched quadrature over the gaps between the sorted
+    distinct points, then a cumulative sum."""
+    t = np.asarray(points, dtype=float)
+    if t.ndim != 1 or not (t >= 0.0).all():  # also rejects NaN
+        raise ValueError(f"points must be a 1-d array of t >= 0 (or +inf), got {points!r}")
+    ends, inverse = np.unique(t, return_inverse=True)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    return np.cumsum(integrate(integrand, starts, ends, what, **opts), axis=0)[inverse]
 
 
 @dataclass(frozen=True)
@@ -155,37 +177,36 @@ class LimitLaw:
 
     # ---- moments of the limit ------------------------------------------
 
-    def m_k(self, k: int, t) -> float:
-        """kappa * int_0^t phi(x)^k omega1(x) dx for k in {1, 2}; t may be +inf."""
+    def _moment_integrand(self, x: np.ndarray) -> np.ndarray:
+        p = self.phi(x)
+        w = omega1(x)
+        return np.stack((p * w, p * p * w), axis=1)
+
+    def moments(self, points) -> np.ndarray:
+        """Rows (m1, m2) at every point of ``points`` (any order, repeats and
+        +inf allowed), from one cumulative pass."""
+        return self.kappa * _cumulative(self._moment_integrand, points, "m1 and m2",
+                                        **_QUAD_OPTS).T
+
+    def m_k(self, k: int, t):
+        """kappa * int_0^t phi(x)^k omega1(x) dx for k in {1, 2}; t may be +inf,
+        or a 1-d array of such points, which gives an array."""
         if k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {k}")
-        tf = float(t)
-        if math.isnan(tf) or tf < 0.0:
-            raise ValueError(f"t must be >= 0 (or +inf), got {t!r}")
-        if tf == 0.0:
-            return 0.0
-        phi = self.phi
+        m = self.moments(np.atleast_1d(np.asarray(t, dtype=float)))[k - 1]
+        return float(m[0]) if np.ndim(t) == 0 else m
 
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return phi(x) ** k * omega1(x)
-
-        return self.kappa * float(integrate(integrand, 0.0, tf, f"m_{k}({tf!r})", **_QUAD_OPTS))
-
-    def m1(self, t) -> float:
+    def m1(self, t):
         return self.m_k(1, t)
 
-    def m2(self, t) -> float:
+    def m2(self, t):
         return self.m_k(2, t)
 
     def _rate_table(self, points):
         """(A_1, A_2, w) with A_k[i, j] = s_j int_0^{points[i]} phi^k e^{-s_j x} dx
         and w_j the node weights; one vector quadrature over (k, j) per gap
-        between sorted points."""
-        t = np.asarray(points, dtype=float)
-        if t.ndim != 1 or not (t >= 0.0).all():  # also rejects NaN
-            raise ValueError(f"points must be a 1-d array of t >= 0 (or +inf), got {points!r}")
-        phi = self.phi
-        s, w = _rate_nodes()
+        between sorted points, all gaps in one batch."""
+        phi, s = self.phi, _S_NODES
 
         def integrand(x: np.ndarray) -> np.ndarray:
             p = phi(x)[:, None, None]
@@ -193,17 +214,9 @@ class LimitLaw:
             return np.concatenate((p * e, p * p * e), axis=1)
 
         tol = _TABLE_EPSABS * max(phi.bound, phi.bound**2)
-        order = np.argsort(t, kind="stable")
-        gaps = np.zeros((len(t), 2, len(s)))
-        lo = 0.0
-        for i, hi in zip(order, t[order].tolist()):
-            if hi > lo:
-                gaps[i] = integrate(integrand, lo, hi, f"rate table on [{lo!r}, {hi!r}]",
-                                    epsabs=tol, epsrel=0.0, limit=_QUAD_OPTS["limit"])
-                lo = hi
-        table = np.empty_like(gaps)
-        table[order] = np.cumsum(gaps[order], axis=0)
-        return table[:, 0], table[:, 1], w
+        table = _cumulative(integrand, points, "rate table", epsabs=tol, epsrel=0.0,
+                            limit=_QUAD_OPTS["limit"])
+        return table[:, 0], table[:, 1], _S_WEIGHTS
 
     def m12(self, t1, t2) -> float:
         """kappa * int_0^t1 int_0^t2 phi(x1) phi(x2) omega2(x1+x2); the
@@ -238,39 +251,52 @@ class LimitLaw:
     def _m1_deriv(self, t):
         return self.kappa * self.phi(t) * omega1(t)
 
-    def tau(self, h) -> float:
-        """Functional inverse of m1 on [0, L); errors for h >= L, where the
-        hitting time diverges."""
+    def tau(self, h):
+        """Functional inverse of m1 on [0, L) at a level, or at a 1-d array of
+        levels solved together (which gives an array); errors for h >= L,
+        where the hitting time diverges."""
         if not self.phi.positive:
             raise ValueError("tau requires a positive test function (strictly increasing m1)")
-        hf = float(h)
-        if math.isnan(hf) or hf < 0.0:
-            raise ValueError(f"level must be >= 0, got {h!r}")
-        if hf >= self.mass_limit:
-            raise ValueError(f"level {hf} is not below the limiting mass L = {self.mass_limit:.12g}"
+        levels = np.atleast_1d(np.asarray(h, dtype=float))
+        if levels.ndim != 1 or not (levels >= 0.0).all():  # also rejects NaN
+            raise ValueError(f"levels must be >= 0 (a number or a 1-d array), got {h!r}")
+        top = float(levels.max(initial=0.0))
+        if top >= self.mass_limit:
+            raise ValueError(f"level {top} is not below the limiting mass L = {self.mass_limit:.12g}"
                              "; the limiting hitting time is infinite there")
-        if hf == 0.0:
-            return 0.0
-        # bracketed Newton on m1(t) = h with bisection fallback
-        lo, hi = 0.0, 1.0
-        while self.m1(hi) <= hf:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e14:
-                raise ArithmeticError("failed to bracket the inverse mean; this is a bug")
+        t = self._inverse_mean(levels)
+        return float(t[0]) if np.ndim(h) == 0 else t
+
+    def _inverse_mean(self, h: np.ndarray) -> np.ndarray:
+        """Bracketed Newton on m1(t) = h with bisection fallback, every level
+        on its own iterates; m1(t) = m1(knot) + int_knot^t from one batched
+        quadrature over the levels not yet converged."""
+        out = np.zeros_like(h)
+        live = np.flatnonzero(h > 0.0)
+        if not len(live):
+            return out
+        m = self.m1(_TAU_KNOTS)
+        if m[-1] <= h.max():
+            raise ArithmeticError("failed to bracket the inverse mean; this is a bug")
+        k = np.searchsorted(m, h[live], side="right")
+        base, m_base = _TAU_KNOTS[k - 1], m[k - 1]
+        lo, hi = base, _TAU_KNOTS[k]
         t = 0.5 * (lo + hi)
         for _ in range(_TAU_MAX_ITER):
-            f = self.m1(t) - hf
-            if f == 0.0:
-                return t
-            lo, hi = (lo, t) if f > 0.0 else (t, hi)
-            d = float(self._m1_deriv(t))
-            t_new = t - f / d if d > 0.0 else 0.5 * (lo + hi)
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - t) < 1e-14 * max(1.0, abs(t_new)):
-                return t_new
-            t = t_new
-        raise ArithmeticError(f"inverse mean at level {h!r} did not converge; this is a bug")
+            f = (m_base + self.kappa * integrate(self._moment_integrand, base, t, "inverse mean",
+                                                 **_QUAD_OPTS)[:, 0]) - h[live]
+            above = f > 0.0
+            lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+            d = self._m1_deriv(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_new = np.where(d > 0.0, t - f / d, 0.5 * (lo + hi))
+            t_new = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+            out[live] = np.where(f == 0.0, t, t_new)
+            keep = (f != 0.0) & ~(np.abs(t_new - t) < 1e-14 * np.maximum(1.0, np.abs(t_new)))
+            live, base, m_base, lo, hi, t = (a[keep] for a in (live, base, m_base, lo, hi, t_new))
+            if not len(live):
+                return out
+        raise ArithmeticError(f"inverse mean at levels {h[live]!r} did not converge; this is a bug")
 
     def tau_prime(self, h) -> float:
         """Derivative of tau: 1 / (kappa * phi(tau(h)) * omega1(tau(h)))."""
@@ -278,9 +304,9 @@ class LimitLaw:
 
     def hitting(self, levels, times=()) -> HittingLimit:
         """tau, tau', the hitting-time Gram matrix over ``levels`` and the
-        cross-covariances with the statistic at ``times``; tau is solved once
-        per level."""
-        tau = np.array([self.tau(h) for h in np.asarray(levels, dtype=float)])
+        cross-covariances with the statistic at ``times``; tau solves all
+        levels in one call."""
+        tau = self.tau(np.asarray(levels, dtype=float).reshape(-1))
         slope = self._m1_deriv(tau)
         d = 1.0 / slope
         cross = np.array([[-self.cov_statistic(t, th) / sl for th, sl in zip(tau, slope)]

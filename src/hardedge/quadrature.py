@@ -1,13 +1,16 @@
-"""Global adaptive Gauss-Kronrod quadrature, vectorised over nodes.
+"""Global adaptive Gauss-Kronrod quadrature, vectorised over nodes and intervals.
 
 ``integrate`` always bisects the subinterval with the largest error estimate,
 with QUADPACK's 21-point Gauss-Kronrod rule (qk21) and its error and rounding
 estimates, taken in the max norm over the components of a vector integrand.
-The integrand sees all nodes of a rule at once: f takes a 1-d array of nodes
-and returns an array whose first axis runs over them, so one bisection costs
-one numpy call instead of 42 Python calls.  [a, +inf) is mapped onto [0, 1)
-by x = a + t/(1 - t).  An error estimate that cannot be brought below its
-tolerance raises ``ArithmeticError``; nothing is warned.
+It takes arrays of bounds and integrates every interval of the batch on its
+own heap, to its own tolerance, exactly as a call with that interval alone
+would: the bisections of one round (one per member still above tolerance)
+go to the integrand in one call.  f takes a 1-d array of nodes and returns an
+array whose first axis runs over them, so a round costs one numpy call
+instead of 42 Python calls per member.  [a, +inf) is mapped onto [0, 1) by
+x = a + t/(1 - t).  An error estimate that cannot be brought below its
+tolerance raises ``ArithmeticError`` naming the interval; nothing is warned.
 """
 
 from __future__ import annotations
@@ -44,14 +47,22 @@ _WG = np.concatenate((_WG, _WG[::-1]))
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray):
+def _rule(f, lo: np.ndarray, hi: np.ndarray, origin: np.ndarray):
     """qk21 on the intervals [lo[i], hi[i]], all nodes in one call of f:
     (values, error estimates, rounding estimates), the estimates in the max
-    norm over components."""
+    norm over components.  Where origin[i] is not NaN, [lo[i], hi[i]] lies in
+    the t of x = origin[i] + t/(1 - t)."""
     half = 0.5 * (hi - lo)
-    fx = np.asarray(f(((lo + half)[:, None] + half[:, None] * _XK).ravel()), dtype=float)
+    x = (lo + half)[:, None] + half[:, None] * _XK
+    tail = np.flatnonzero(~np.isnan(origin))
+    if len(tail):
+        d = 1.0 - x[tail]
+        x[tail] = origin[tail, None] + x[tail] / d
+    fx = np.asarray(f(x.ravel()), dtype=float)
     shape = fx.shape[1:]
-    fx = fx.reshape(len(lo), len(_XK), -1)
+    fx = fx.reshape(len(lo), len(_XK), math.prod(shape))
+    if len(tail):
+        fx[tail] = fx[tail] / (d * d)[:, :, None]
     with np.errstate(invalid="ignore", over="ignore"):
         resk = _WK @ fx
         resg = _WG @ fx[:, 1::2]
@@ -70,40 +81,54 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray):
     return (resk * half[:, None]).reshape((len(lo),) + shape), err, rnd
 
 
-def integrate(f, a: float, b: float, what: str, epsabs: float, epsrel: float, limit: int):
+def integrate(f, a, b, what: str, epsabs: float, epsrel: float, limit: int):
     """int_a^b f(x) dx for a <= b (b may be +inf), to max(epsabs, epsrel *
-    max|value|) in the max norm.
+    max|value|) in the max norm; a and b broadcast to one shape, and the
+    result has that shape followed by the integrand's.
 
     f maps a 1-d array of nodes to an array of shape (nodes, ...).  Raises
-    ``ArithmeticError`` naming ``what`` when the error estimate is still above
-    the tolerance once ``limit`` subintervals are in use, or once the
-    rounding estimates alone exceed it.
+    ``ArithmeticError`` naming ``what`` and the interval when an interval's
+    error estimate is still above its tolerance once it has ``limit``
+    subintervals, or once its rounding estimates alone exceed it.
     """
-    a, b = float(a), float(b)
-    if math.isinf(b):
-        g, origin = f, a
-
-        def f(t):
-            d = 1.0 - t
-            y = np.asarray(g(origin + t / d), dtype=float)
-            return y / (d * d).reshape((-1,) + (1,) * (y.ndim - 1))
-
-        a, b = 0.0, 1.0
-    val, err, rnd = _rule(f, np.array([a]), np.array([b]))
-    total, err_sum, rnd_sum = val[0], float(err[0]), float(rnd[0])
-    heap = [(-err_sum, a, b, total, rnd_sum)]
-    while True:
-        tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
-        if err_sum <= tol:
-            return sum(item[3] for item in heap)
-        if not math.isfinite(err_sum) or len(heap) >= limit or rnd_sum > tol:
-            raise ArithmeticError(f"{what}: quadrature error estimate {err_sum:.3g} exceeds "
-                                  f"{tol:.3g} on {len(heap)} subintervals")
-        neg_err, lo, hi, old, old_rnd = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        val, err, rnd = _rule(f, np.array([lo, mid]), np.array([mid, hi]))
-        total = total + (val[0] + val[1] - old)
-        err_sum += float(err[0] + err[1]) + neg_err
-        rnd_sum += float(rnd[0] + rnd[1]) - old_rnd
-        heapq.heappush(heap, (-float(err[0]), lo, mid, val[0], float(rnd[0])))
-        heapq.heappush(heap, (-float(err[1]), mid, hi, val[1], float(rnd[1])))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    tail = np.isinf(b.ravel())
+    origin = np.where(tail, a.ravel(), np.nan)
+    lo, hi = np.where(tail, 0.0, a.ravel()), np.where(tail, 1.0, b.ravel())
+    val, err, rnd = _rule(f, lo, hi, origin)
+    shape = val.shape[1:]
+    total = val.reshape(len(lo), -1).copy()
+    err_sum, rnd_sum = err.tolist(), rnd.tolist()
+    heaps = [[item] for item in zip((-err).tolist(), lo.tolist(), hi.tolist(), val, rnd_sum)]
+    out = [None] * len(heaps)
+    active = list(range(len(heaps)))
+    while active:
+        tol = np.fmax(epsabs, epsrel * np.abs(total[active]).max(axis=1)).tolist()
+        split = []
+        for i, t in zip(active, tol):
+            if err_sum[i] <= t:
+                out[i] = sum(item[3] for item in heaps[i])
+            elif not math.isfinite(err_sum[i]) or len(heaps[i]) >= limit or rnd_sum[i] > t:
+                raise ArithmeticError(
+                    f"{what} on [{float(a.flat[i])!r}, {float(b.flat[i])!r}]: quadrature error "
+                    f"estimate {err_sum[i]:.3g} exceeds {t:.3g} on {len(heaps[i])} subintervals")
+            else:
+                split.append(i)
+        if not split:
+            break
+        items = [heapq.heappop(heaps[i]) for i in split]
+        edges = np.array([(left, 0.5 * (left + right), right) for _, left, right, _, _ in items])
+        val, err, rnd = _rule(f, edges[:, :2].ravel(), edges[:, 1:].ravel(),
+                              np.repeat(origin[split], 2))
+        pair = val.reshape(len(split), 2, -1)
+        old = np.array([item[3] for item in items]).reshape(len(split), -1)
+        total[split] = total[split] + (pair[:, 0] + pair[:, 1] - old)
+        err, rnd, edges = err.tolist(), rnd.tolist(), edges.tolist()
+        for k, (i, item, (left, mid, right)) in enumerate(zip(split, items, edges)):
+            e0, e1, r0, r1 = err[2 * k], err[2 * k + 1], rnd[2 * k], rnd[2 * k + 1]
+            err_sum[i] += (e0 + e1) + item[0]
+            rnd_sum[i] += (r0 + r1) - item[4]
+            heapq.heappush(heaps[i], (-e0, left, mid, val[2 * k], r0))
+            heapq.heappush(heaps[i], (-e1, mid, right, val[2 * k + 1], r1))
+        active = split
+    return np.reshape(np.array(out), a.shape + shape)[()]

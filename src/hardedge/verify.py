@@ -532,7 +532,7 @@ def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
         p = replace(config.params, n=int(n))
         law = LimitLaw(p, phi)
         if m1_grid is None:
-            m1_grid = np.array([law.m1(t) for t in grid])
+            m1_grid = law.m1(grid)
         me = np.array([proc.mean_exact(p, phi, t) for t in grid])
         err = float(np.max(np.abs(me - m1_grid)))
         errs.append(err)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hardedge.limit_law as ll
+import hardedge.quadrature as quadrature
 from hardedge.cli import main, parse_grid
 from hardedge.ensemble import EnsembleParams, sample_configuration
 
@@ -136,6 +137,27 @@ class TestLimitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "quadrature error estimate" in err
         assert not out.exists()
+
+    def test_integrand_work_stays_batched(self, tmp_path, monkeypatch):
+        # a count-based guard, not a timing: the benchmark's hardedge limit run
+        # makes 16 integrand calls on 110 qk21 intervals when m1 and m2 come
+        # from one pass, the rate tables batch their gaps, and each Newton
+        # step of tau integrates from its level's knot for all levels at once
+        # (one tau solve per level, re-integrating m1 from 0, took 104 calls)
+        intervals = []  # per integrand call
+        rule = quadrature._rule
+
+        def counted(f, lo, *args):
+            intervals.append(len(lo))
+            return rule(f, lo, *args)
+
+        monkeypatch.setattr(quadrature, "_rule", counted)
+        out = tmp_path / "limit.json"
+        assert main(["limit", "--n", "500", "--phi", "rational", "--grid", "logspace:-1:1.5:6",
+                     "--levels", "0.05,0.1,0.15,0.2,0.25,0.3", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert len(intervals) <= 16
+        assert sum(intervals) <= 110
 
     def test_json_csv_parity(self, tmp_path):
         args = ["limit", "--grid", "0.5,2", "--levels", "0.1,0.3", "--phi", "one"]

@@ -159,6 +159,42 @@ class TestCovariance:
                 assert gram[i, j] <= math.sqrt(gram[i, i] * gram[j, j]) + 1e-9
 
 
+def _counting_mean_mp(t, kappa):
+    """phi = 1: m1(t) = m2(t) = kappa (1 - (1 - e^{-t})/t), in mpmath (the
+    float form loses digits below t ~ 1e-4)."""
+    return kappa if t == mp.inf else kappa * (1 - (1 - mp.exp(-t)) / t)
+
+
+class TestCountingOracle:
+    """phi = 1 against its closed form at 30 digits."""
+
+    def test_moments_on_unsorted_grid_with_repeats_and_inf(self):
+        law = LimitLaw(CANON, proc.phi_one())
+        grid = np.array([3.0, 1e-6, 0.5, np.inf, 1e-3, 3.0, 40.0, 0.5, 1e4, 0.0])
+        with mp.workdps(30):
+            kappa = mp.mpf(CANON.kappa)
+            ref = np.array([float(_counting_mean_mp(mp.mpf(float(t)), kappa)) if t > 0 else 0.0
+                            for t in grid])
+        m1, m2 = law.moments(grid)
+        assert np.array_equal(m1, law.m1(grid)) and np.array_equal(m2, law.m2(grid))
+        assert m1 == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert m2 == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert m1[1] == law.m1(1e-6)
+        assert m1[0] == m1[5] and m2[2] == m2[7]
+
+    def test_tau_against_findroot(self):
+        law = LimitLaw(CANON, proc.phi_one())
+        levels = law.mass_limit * np.array([1e-6, 0.01, 0.2, 0.5, 0.9, 0.99])
+        tau = law.tau(levels)
+        with mp.workdps(30):
+            kappa = mp.mpf(CANON.kappa)
+            ref = [float(mp.findroot(lambda t: _counting_mean_mp(t, kappa) - mp.mpf(float(h)),
+                                     mp.mpf(float(t0))))
+                   for h, t0 in zip(levels, tau)]
+        assert tau == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert np.array_equal(tau, [law.tau(h) for h in levels])
+
+
 class TestTau:
     def test_zero_level(self):
         law = LimitLaw(CANON, proc.phi_one())
@@ -221,7 +257,7 @@ class TestHittingCovariance:
 
     def test_hitting_solves_each_level_once(self, monkeypatch):
         # the bundle equals the one-quantity methods bit for bit, with one
-        # tau solve per level
+        # vector tau solve for all levels
         law = LimitLaw(CANON, proc.phi_rational())
         levels = law.mass_limit * np.array([0.1, 0.4, 0.8])
         times = [0.5, 3.0]
@@ -229,7 +265,7 @@ class TestHittingCovariance:
         tau = LimitLaw.tau
         monkeypatch.setattr(LimitLaw, "tau", lambda self, h: solves.append(h) or tau(self, h))
         hit = law.hitting(levels, times)
-        assert len(solves) == len(levels)
+        assert len(solves) == 1 and np.array_equal(solves[0], levels)
         monkeypatch.undo()
         assert np.array_equal(hit.tau, [law.tau(h) for h in levels])
         assert np.array_equal(hit.tau_prime, [law.tau_prime(h) for h in levels])

@@ -109,6 +109,76 @@ class TestIntegrate:
                 integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, "inf", **OPTS)
 
 
+class TestBatch:
+    """Arrays of bounds: every interval on its own heap, one integrand call
+    per round."""
+
+    A = np.array([0.0, 0.0, 1.5, 0.2, 2.0, 0.3])
+    B = np.array([1.0, math.inf, math.inf, 7.0, 2.0, 0.31])
+    # relative only, so a tolerance shared across members would show
+    REL = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+
+    @staticmethod
+    def _decaying(x):
+        return np.stack((np.exp(-x), 1.0 / (1.0 + 100.0 * (x - 0.3) ** 2),
+                         np.abs(x - 0.7) ** 1.5 * np.exp(-x)), axis=1)
+
+    def test_members_bit_equal_to_single_runs(self):
+        val = integrate(self._decaying, self.A, self.B, "batch", **self.REL)
+        assert val.shape == (6, 3)
+        for i, (a, b) in enumerate(zip(self.A, self.B)):
+            assert np.array_equal(val[i], integrate(self._decaying, a, b, "alone", **self.REL))
+        assert val[1, 0] == pytest.approx(1.0, rel=1e-12)  # a +inf member beside finite ones
+        assert val[2, 0] == pytest.approx(math.exp(-1.5), rel=1e-12)
+        assert np.array_equal(val[4], np.zeros(3))
+
+    def test_tolerance_follows_each_members_own_scale(self):
+        # the same peak, e^-30 times smaller on [10, 11]: a tolerance relative
+        # to the batch's largest value would stop that member after one rule
+        def f(x):
+            k = np.floor(x)
+            return np.exp(-3.0 * k) / (1.0 + 100.0 * (x - k - 0.3) ** 2)
+
+        val = integrate(f, [0.0, 10.0], [1.0, 11.0], "scales", **self.REL)
+        assert val[1] == integrate(f, 10.0, 11.0, "alone", **self.REL)
+        assert val[1] == pytest.approx(math.exp(-30.0) * val[0], rel=1e-12)
+
+    def test_bounds_broadcast(self):
+        val = integrate(np.exp, np.array([[0.0], [1.0]]), np.array([1.0, 2.0, 3.0]), "grid",
+                        **self.REL)
+        assert val.shape == (2, 3)
+        ref = np.exp(np.array([1.0, 2.0, 3.0])) - np.exp(np.array([[0.0], [1.0]]))
+        assert val == pytest.approx(ref, rel=1e-13)
+
+    def test_one_integrand_call_per_round(self):
+        alone = []
+        for a, b in zip(self.A, self.B):
+            f = Counted(self._decaying)
+            integrate(f, a, b, "alone", **self.REL)
+            alone.append([len(x) // 42 for x in f.calls[1:]])  # bisections per round
+        # each member's subinterval limit is its own: the one that needs the
+        # most sets it, though the members together hold far more
+        f = Counted(self._decaying)
+        integrate(f, self.A, self.B, "batch", epsabs=0.0, epsrel=1e-12,
+                  limit=1 + max(len(r) for r in alone))
+        assert len(f.calls) == 1 + max(len(r) for r in alone)
+        assert len(f.calls[0]) == 21 * len(self.A)
+        # round r bisects one subinterval of every member still above tolerance
+        for r, x in enumerate(f.calls[1:]):
+            assert len(x) == 42 * sum(len(s) > r for s in alone)
+
+    def test_member_missing_its_tolerance_raises_naming_it(self):
+        # sqrt's endpoint singularity needs many bisections on [0, 1]; the
+        # smooth [1, 2] converges at once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"sqrt on \[0\.0, 1\.0\]"):
+                integrate(np.sqrt, [1.0, 0.0], [2.0, 1.0], "sqrt", epsabs=1e-13, epsrel=0.0,
+                          limit=3)
+            assert integrate(np.sqrt, [1.0], [2.0], "sqrt", epsabs=1e-13, epsrel=0.0,
+                             limit=3) == pytest.approx([(2.0 ** 1.5 - 1.0) / 1.5], rel=1e-14)
+
+
 def test_import_leaves_out_scipy_integrate_and_optimize():
     src = os.path.dirname(os.path.dirname(hardedge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
