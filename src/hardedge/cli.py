@@ -11,6 +11,7 @@ so a rerun from the header reproduces the run byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -56,7 +57,9 @@ def _add_ensemble_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="hardedge",
         description="simulation and verification lab for hard-edge scaled "

@@ -31,12 +31,14 @@ exponential approximation's total-variation diagnostics: the bound as a
 positive series and the exact distance in closed form, at the one point where
 the two densities cross (the test suite checks it against quadrature).
 
-Reproducibility: each configuration draws from its own counter-based Philox
-stream keyed by (seed, stream), in a fixed order: one draw holds its
-first-round uniforms and a reservoir for the retry rounds, and a row that
-exhausts its reservoir refills from its own substream.  A configuration is
-therefore bit-identical for a fixed key no matter how sampling work is
-batched or scheduled.  Seeds and streams must be integers in [0, 2^64).
+Reproducibility: configuration r (its stream) reads its first round and a
+reservoir of retry uniforms from its own counter range of the Philox stream
+keyed by (seed, 0), so consecutive streams are one generator call, and
+refills from its own substream; each retry round gives every rejected
+particle two candidates and keeps the first accepted (details in
+``_sample``).  A configuration is therefore bit-identical for a fixed (seed,
+stream) no matter how sampling work is batched or scheduled.  Seeds and
+streams must be integers in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -69,15 +71,18 @@ __all__ = [
 # Uniforms are clamped below at 2^-53 so no logarithm sees 0.
 _U_LO = 2.0**-53
 
-# Each retry round keeps an entry with probability above 0.355 (its class's
+# Candidates per rejected entry and retry round, each from its own slot
+# (``_sample`` keeps the first of the two that is accepted).
+_CANDIDATES = 2
+# Each candidate is kept with probability above 0.355 (its class's
 # acceptance rate) times the Marsaglia-Tsang acceptance rate (> 0.95), so an
-# entry outlasts this many rounds with probability below 2^-118.
+# entry outlasts this many rounds with probability below 2^-236.
 _MAX_ROUNDS = 200
 # Retry slots per row, drawn with its first-round uniforms:
-# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's retry demand is about 2.4 sqrt(c),
-# the rejections of the particles within O(sqrt(c)) of theta = 1 (at most
-# 5.3 sqrt(c) over 2000 rows at c = 125); a row that needs more draws a
-# refill from its own substream.
+# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's retry demand is about 3.6 sqrt(c)
+# slots, for the rejections of the particles within O(sqrt(c)) of theta = 1
+# (at most 6.8 sqrt(c) over 2000 rows at c = 125); a row that needs more
+# draws a refill from its own substream.
 _RESERVOIR = 3.0
 
 # Newton on the TV crossing point converges quadratically once above the
@@ -297,9 +302,8 @@ def _gamma_proposal(params: EnsembleParams, shapes, z, accept, v):
     return -params.u_scale * (log_x - log_c), mt, mt & (log_x <= log_c)
 
 
-def _keys(seed, streams) -> np.ndarray:
-    """Philox keys (seed, stream), one row per stream; seed and streams must be
-    integers in [0, 2^64)."""
+def _keys(seed, streams):
+    """The seed and the streams as ints, each checked to lie in [0, 2^64)."""
     def check(name, value):
         try:
             k = operator.index(value)
@@ -309,52 +313,54 @@ def _keys(seed, streams) -> np.ndarray:
             raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
         return k
 
-    seed = check("seed", seed)
-    return np.array([(seed, check("stream", s)) for s in streams], dtype=np.uint64).reshape(-1, 2)
+    return check("seed", seed), [check("stream", s) for s in streams]
 
 
-def _row_uniforms(gen: np.random.Generator, key: np.ndarray, refill: int, out: np.ndarray):
-    """Fill ``out`` with uniforms from the Philox stream ``key``: its first draw
-    from counter 0, refill k from counter high word k.  Re-keying gives the
-    same stream as a fresh ``Philox(key=key)`` without seeding one."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, 0, refill], dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    gen.random(out=out)
+def _uniforms(seed: int, counter: int, out: np.ndarray):
+    """Fill ``out`` with uniforms from the Philox stream keyed (seed, 0), four
+    per counter block, from the blocks after the 256-bit ``counter``."""
+    np.random.Generator(np.random.Philox(counter=counter, key=seed)).random(out=out)
 
 
 def _sample(params: EnsembleParams, js, seed: int, streams):
-    """U over the particles ``js`` (columns, repeats allowed), one row per
-    stream, and three first-round counts: exponential rejections, gamma
-    truncation rejections among Marsaglia-Tsang acceptances, and those
+    """U over the particles ``js`` (columns, ascending, repeats allowed), one
+    row per stream, and three first-round counts: exponential rejections,
+    gamma truncation rejections among Marsaglia-Tsang acceptances, and those
     acceptances per gamma column.
 
-    Each row makes one Philox draw from its own stream, in this order: one
+    Every row reads the Philox stream keyed (seed, 0).  Its first draw is one
     uniform per column (exponential proposals, gamma normals), one acceptance
     uniform per exponential column, one per gamma column, one uniform per gamma
     column of shape s < 1, then a reservoir of retry slots, three uniforms
-    each.  Every retry round runs over the whole block: each rejected entry
-    takes its row's next unused slot, in column order, and draws its proposal
-    (or normal), acceptance uniform and, where s < 1, V from it.  A row with more rejected entries than unused slots
-    drops those slots and draws max(slots, entries) fresh ones from its own
-    substream (counter high word = the row's refill count).  A row therefore
-    depends only on (params, js, seed, its stream).  ln P(s, c) is evaluated
-    only on the class-edge bracket.
+    each, padded to B counter blocks of four uniforms: the row of stream r
+    reads the blocks after counter r B up to (r + 1) B, so a run of
+    consecutive streams is one generator call.  Every retry round runs over
+    the whole block: each rejected entry takes its row's next _CANDIDATES
+    unused slots (gamma-class entries first, then exponential ones, each in
+    column order) and draws one candidate from each (proposal or normal,
+    acceptance uniform and, where s < 1, V); it keeps the first candidate
+    accepted, which has the law of sequential rejection.  A row with fewer
+    unused slots than its entries need drops them and draws max(slots, need)
+    fresh ones: refill k of stream r reads the blocks after counter
+    (0, 0, r, k), as 64-bit words from the lowest.  A row therefore depends
+    only on (params, js, seed, its stream).  ln P(s, c) is evaluated only on
+    the class-edge bracket.
     """
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
-    exp, gam = _classes(params, js)
-    m, me = len(shapes), len(exp)
+    m, k = len(shapes), len(_classes(params, js)[1])
+    me = m - k
+    # js ascends, so the gamma class is the first k columns
+    gam, exp = slice(0, k), slice(k, m)
     shape_g = shapes[gam]
     width = 2 * m + int(np.count_nonzero(shape_g < 1.0))
     slots = math.ceil(_RESERVOIR * (math.sqrt(params.c) + 8.0))
-    keys = _keys(seed, streams)
-    rows = len(keys)
-    gen = np.random.Generator(np.random.Philox(0))
-    first = np.empty((rows, width + 3 * slots))
-    for r in range(rows):
-        _row_uniforms(gen, keys[r], 0, first[r])
+    blocks = -(-(width + 3 * slots) // 4)
+    seed, streams = _keys(seed, streams)
+    rows = len(streams)
+    first = np.empty((rows, 4 * blocks))
+    runs = [i for i in range(1, rows) if streams[i] != streams[i - 1] + 1]
+    for i0, i1 in zip([0, *runs], [*runs, rows]):
+        _uniforms(seed, streams[i0] * blocks, first[i0:i1].reshape(-1))
     head = first[:, :width]
     np.maximum(head, _U_LO, out=head)
 
@@ -367,45 +373,55 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
     counts = (int(ok_e.size - np.count_nonzero(ok_e)), int(np.count_nonzero(mt & ~ok_g)),
               np.count_nonzero(mt, axis=0))
 
-    pending = np.zeros((rows, m), dtype=bool)
-    pending[:, exp], pending[:, gam] = ~ok_e, ~ok_g
-    p_rows, p_cols = np.nonzero(pending)
-    is_exp = np.zeros(m, dtype=bool)
-    is_exp[exp] = True
-    res = first[:, width:].reshape(rows * slots, 3)
+    def propose_gamma(cols, uni):
+        s = shapes[cols]
+        x, _, ok = _gamma_proposal(params, s, uni[..., 0], uni[..., 1], uni[:, s < 1.0, 2])
+        return x, ok
+
+    def propose_exp(cols, uni):
+        return _exp_proposal(params, rate[cols], uni[..., 0], uni[..., 1])
+
+    # rejected entries (rows, columns) of each class, sorted by row then column
+    pending = []
+    for start, ok in ((0, ok_g), (k, ok_e)):
+        r, i = np.nonzero(~ok)
+        pending.append((r, start + i))
+    res = first[:, width:width + 3 * slots].reshape(rows * slots, 3)
     cursor = np.arange(rows) * slots    # each row's next unused slot in res
     free = np.full(rows, slots)
     refills = [0] * rows
+    tries = np.arange(_CANDIDATES)[:, None]
     rounds = 0
-    while p_rows.size:
+    while any(len(r) for r, _ in pending):
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise ArithmeticError(f"rejection sampler still rejecting after {_MAX_ROUNDS} "
                                   "retry rounds; this is a bug")
-        need = np.bincount(p_rows, minlength=rows)
+        take = [_CANDIDATES * np.bincount(r, minlength=rows) for r, _ in pending]
+        need = take[0] + take[1]
         fresh, top = [], len(res)
         for r in np.flatnonzero(need > free).tolist():
             refills[r] += 1
             fresh.append(np.empty((max(slots, int(need[r])), 3)))
-            _row_uniforms(gen, keys[r], refills[r], fresh[-1].reshape(-1))
+            _uniforms(seed, (streams[r] << 128) | (refills[r] << 192), fresh[-1].reshape(-1))
             cursor[r], free[r] = top, len(fresh[-1])
             top += len(fresh[-1])
         if fresh:
             res = np.concatenate([res, *fresh])
-        # entries are sorted by (row, column): rank within the row picks the slot
-        rank = np.arange(p_rows.size) - (np.cumsum(need) - need)[p_rows]
-        uni = np.maximum(res[cursor[p_rows] + rank], _U_LO)
-        cursor += need
         free -= need
-        e = is_exp[p_cols]
-        g = ~e
-        val = np.empty(p_rows.size)
-        ok = np.empty(p_rows.size, dtype=bool)
-        val[e], ok[e] = _exp_proposal(params, rate[p_cols[e]], uni[e, 0], uni[e, 1])
-        sg, ug = shapes[p_cols[g]], uni[g]
-        val[g], _, ok[g] = _gamma_proposal(params, sg, ug[:, 0], ug[:, 1], ug[sg < 1.0, 2])
-        u[p_rows[ok], p_cols[ok]] = val[ok]
-        p_rows, p_cols = p_rows[~ok], p_cols[~ok]
+        for cls, propose in enumerate((propose_gamma, propose_exp)):
+            p_rows, p_cols = pending[cls]
+            if not len(p_rows):
+                continue
+            # entry i of its class in a row takes the row's next _CANDIDATES slots
+            pos = (cursor + take[cls] - np.cumsum(take[cls]))[p_rows]
+            pos += _CANDIDATES * np.arange(len(p_rows))
+            cursor += take[cls]
+            val, ok = propose(p_cols, np.maximum(res[pos + tries], _U_LO))
+            # keep the first accepted candidate, as sequential rejection does
+            kept, done = np.where(ok[0], val[0], val[1]), ok[0] | ok[1]
+            u[p_rows[done], p_cols[done]] = kept[done]
+            pending[cls] = p_rows[~done], p_cols[~done]
     return u, counts
 
 

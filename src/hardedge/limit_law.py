@@ -246,6 +246,11 @@ class LimitLaw:
         """L = m1(+inf), the total limiting mass (kappa for phi = 1)."""
         return self.m1(np.inf)
 
+    @cached_property
+    def _knot_means(self) -> np.ndarray:
+        """m1 at the bracketing knots of the inverse mean."""
+        return self.m1(_TAU_KNOTS)
+
     # ---- inverse mean and hitting limit --------------------------------
 
     def _m1_deriv(self, t):
@@ -275,7 +280,7 @@ class LimitLaw:
         live = np.flatnonzero(h > 0.0)
         if not len(live):
             return out
-        m = self.m1(_TAU_KNOTS)
+        m = self._knot_means
         if m[-1] <= h.max():
             raise ArithmeticError("failed to bracket the inverse mean; this is a bug")
         k = np.searchsorted(m, h[live], side="right")

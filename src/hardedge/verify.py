@@ -11,11 +11,12 @@ seeds at M = 16 and on none of 200 at M = 5000; the hitting campaign (levels
 none of 100 at M = 5000.  The standard errors come from sample moments, so
 small-M campaigns are smoke tests, not verdicts.
 
-Determinism: replicate i draws its uniforms from a Philox stream keyed by
-(master seed, i).  Replicates are processed in fixed-size blocks, results are
-written into preallocated arrays indexed by replicate, and all reductions run
-after assembly, so a report is byte-identical for a fixed seed regardless of
-the worker count.
+Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
+counter range of the Philox stream keyed by the master seed.  Replicates are
+processed in blocks of at most 128 rows and 2^20 particles (one row at
+least), results are written into preallocated arrays indexed by replicate,
+and all reductions run after assembly, so a report is byte-identical for a
+fixed seed regardless of the worker count or the block size.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# Replicates per block: at most _BLOCK, and at most _BLOCK_PARTICLES
+# particles (but one replicate at least), so block temporaries stay bounded
+# as n grows.
 _BLOCK = 128
+_BLOCK_PARTICLES = 2**20
 
 CAMPAIGN_KINDS = ("clt", "hitting", "escape", "centering_rate", "tv_decay", "moments")
 
@@ -237,7 +242,7 @@ def _csv_cell(v):
 
 def _row(record, n=None, arg1=None, arg2=None, estimate=None, target=None, se=None, z=None):
     def f(x):
-        return None if x is None else float(x)
+        return None if x is None or math.isnan(x) else float(x)
     return {
         "record": record,
         "n": None if n is None else int(n),
@@ -254,8 +259,19 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _z(estimate, target, se):
+    """(estimate - target) / se, or None where no z-score exists: the sample
+    has no spread (se = 0) or the estimate is undefined (NaN)."""
+    z = (estimate - target) / se if se > 0.0 else math.nan
+    return None if math.isnan(z) else float(z)
+
+
 def _z_assertion(name: str, zs: list, z_max: float) -> dict:
-    """Every (label, z) in ``zs`` within z_max; the detail names the worst."""
+    """Every (label, z) in ``zs`` within z_max; the detail names the worst.
+    A missing z-score (None) fails."""
+    missing = [label for label, z in zs if z is None]
+    if missing:
+        return _assertion(name, False, f"no z-score at {missing[0]}: the sample has no spread")
     label, worst = max(zs, key=lambda r: abs(r[1]))
     return _assertion(name, all(abs(z) <= z_max for _label, z in zs),
                       f"max |z| = {abs(worst):.3f} at {label} (threshold {z_max})")
@@ -285,10 +301,11 @@ def _campaign(kind: str):
     return register
 
 
-def _run_blocks(replicates: int, workers: int, block_fn):
-    """Run block_fn(i0, i1) over fixed-size replicate blocks, optionally in a
-    thread pool; returns results ordered by block start."""
-    blocks = [(i0, min(i0 + _BLOCK, replicates)) for i0 in range(0, replicates, _BLOCK)]
+def _run_blocks(replicates: int, n: int, workers: int, block_fn):
+    """Run block_fn(i0, i1) over blocks of replicates of n particles each,
+    optionally in a thread pool; returns results ordered by block start."""
+    size = min(_BLOCK, max(1, _BLOCK_PARTICLES // n))
+    blocks = [(i0, min(i0 + size, replicates)) for i0 in range(0, replicates, size)]
     if workers <= 1:
         return [block_fn(i0, i1) for i0, i1 in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -332,7 +349,7 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
             for k, h in enumerate(levels):
                 Q[i0:i1, k] = su[r, np.count_nonzero(cum <= h, axis=1)]
 
-    _run_blocks(M, config.workers, block)
+    _run_blocks(M, n, config.workers, block)
     return S, S_inf, Q
 
 
@@ -344,11 +361,13 @@ def _cov_se(cov: np.ndarray, m: int) -> np.ndarray:
 
 
 def _skew_exkurt(x: np.ndarray):
+    """Sample skewness and excess kurtosis per column; NaN for a constant column."""
     xc = x - x.mean(axis=0)
     m2 = np.mean(xc**2, axis=0)
-    skew = np.mean(xc**3, axis=0) / m2**1.5
-    exkurt = np.mean(xc**4, axis=0) / m2**2 - 3.0
-    return skew, exkurt
+    spread = m2 > 0.0
+    skew = np.divide(np.mean(xc**3, axis=0), m2**1.5, out=np.full(m2.shape, np.nan), where=spread)
+    kurt = np.divide(np.mean(xc**4, axis=0), m2**2, out=np.full(m2.shape, np.nan), where=spread)
+    return skew, kurt - 3.0
 
 
 @_campaign("clt")
@@ -379,22 +398,22 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     skew, exkurt = _skew_exkurt(X)
     zs = []
     for i, t in enumerate(grid):
-        z = mean[i] / mean_se[i]
+        z = _z(mean[i], 0.0, mean_se[i])
         rows.append(_row("mean", n=params.n, arg1=t, estimate=mean[i], target=0.0,
                          se=mean_se[i], z=z))
         if not config.center_empirical:
             zs.append((f"mean({t}, None)", z))
-        z = skew[i] / math.sqrt(6.0 / M)
+        z = _z(skew[i], 0.0, math.sqrt(6.0 / M))
         rows.append(_row("skewness", n=params.n, arg1=t, estimate=skew[i], target=0.0,
                          se=math.sqrt(6.0 / M), z=z))
         zs.append((f"skewness({t}, None)", z))
-        z = exkurt[i] / math.sqrt(24.0 / M)
+        z = _z(exkurt[i], 0.0, math.sqrt(24.0 / M))
         rows.append(_row("excess_kurtosis", n=params.n, arg1=t, estimate=exkurt[i],
                          target=0.0, se=math.sqrt(24.0 / M), z=z))
         zs.append((f"excess_kurtosis({t}, None)", z))
     for i1 in range(len(grid)):
         for i2 in range(i1, len(grid)):
-            z = (cov[i1, i2] - gram[i1, i2]) / cov_se[i1, i2]
+            z = _z(cov[i1, i2], gram[i1, i2], cov_se[i1, i2])
             rows.append(_row("covariance", n=params.n, arg1=grid[i1], arg2=grid[i2],
                              estimate=cov[i1, i2], target=gram[i1, i2],
                              se=cov_se[i1, i2], z=z))
@@ -448,13 +467,11 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     S, S_inf, _ = _simulate_statistic(config, p, phi, grid)
     m1_T = law.m1(T)
     sd = float(np.std(S[:, 0], ddof=1))
-    z = (float(S.mean(axis=0)[0]) - m1_T) / sd
+    z = _z(float(S.mean(axis=0)[0]), m1_T, sd)
     rows.append(_row("statistic_vs_limit_mean", n=p.n, arg1=T,
                      estimate=float(S.mean(axis=0)[0]), target=m1_T, se=sd, z=z))
-    assertions.append(_assertion(
-        "statistic_concentrates_on_limit_mean", abs(z) <= config.z_max,
-        f"|z| = {abs(z):.3f} (per-replicate scale, threshold {config.z_max})",
-    ))
+    assertions.append(_z_assertion("statistic_concentrates_on_limit_mean",
+                                   [(f"S({T})", z)], config.z_max))
     total = float(S_inf.mean())
     if config.phi.kind == "one":
         rows.append(_row("total_mass", n=p.n, estimate=total, target=1.0))
@@ -465,12 +482,10 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     else:
         target = proc.mean_exact(p, phi, np.inf)
         sdt = float(np.std(S_inf, ddof=1)) / math.sqrt(len(S_inf))
-        zt = (total - target) / sdt
+        zt = _z(total, target, sdt)
         rows.append(_row("total_mass", n=p.n, estimate=total, target=target, se=sdt, z=zt))
-        assertions.append(_assertion(
-            "total_mass_matches_exact_mean", abs(zt) <= config.z_max,
-            f"|z| = {abs(zt):.3f}",
-        ))
+        assertions.append(_z_assertion("total_mass_matches_exact_mean", [("S(inf)", zt)],
+                                       config.z_max))
     return rows, assertions
 
 
@@ -597,7 +612,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     seQ = _cov_se(covQ, mf)
     for i1 in range(len(levels)):
         for i2 in range(i1, len(levels)):
-            z = (covQ[i1, i2] - gramQ[i1, i2]) / seQ[i1, i2]
+            z = _z(covQ[i1, i2], gramQ[i1, i2], seQ[i1, i2])
             rows.append(_row("hitting_covariance", n=params.n, arg1=levels[i1],
                              arg2=levels[i2], estimate=covQ[i1, i2],
                              target=gramQ[i1, i2], se=seQ[i1, i2], z=z))
@@ -609,7 +624,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     meanY = Y.mean(axis=0)
     sdY = np.sqrt(np.diag(covQ))
     for i, h in enumerate(levels):
-        z = meanY[i] / sdY[i]
+        z = _z(meanY[i], 0.0, sdY[i])
         rows.append(_row("hitting_mean", n=params.n, arg1=h, estimate=meanY[i],
                          target=0.0, se=sdY[i], z=z))
         zs.append((f"hitting_mean({h:.4g}, {h:.4g})", z))
@@ -621,7 +636,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
                 c = float(np.cov(Xf[:, it], Y[:, ih], ddof=1)[0, 1])
                 target = float(hit.cross[it, ih])
                 se = math.sqrt((varX[it] * covQ[ih, ih] + c * c) / mf)
-                z = (c - target) / se
+                z = _z(c, target, se)
                 rows.append(_row("cross_covariance", n=params.n, arg1=t, arg2=h,
                                  estimate=c, target=target, se=se, z=z))
                 zs.append((f"cross_covariance({t:.4g}, {h:.4g})", z))
@@ -740,7 +755,7 @@ def run_moments(config: ExperimentConfig) -> ExperimentReport:
         target = _isserlis(gram, flat)
         est = float(sample.mean())
         se = float(np.std(sample, ddof=1)) / math.sqrt(M)
-        z = (est - target) / se
+        z = _z(est, target, se)
         label = "*".join(f"X(t{i})^{p}" for i, p in enumerate(m_idx) if p)
         rows.append(_row("moment", n=params.n, arg1=float(sum(m_idx)),
                          estimate=est, target=target, se=se, z=z))

@@ -263,16 +263,22 @@ class TestRejectionSampler:
 
     @staticmethod
     def _record_draws(monkeypatch):
-        """(stream, refill) of every generator draw call the sampler makes."""
+        """(counter, uniforms) of every generator draw call the sampler makes."""
         calls = []
-        inner = ens._row_uniforms
+        inner = ens._uniforms
 
-        def recording(gen, key, refill, out):
-            calls.append((int(key[1]), refill))
-            inner(gen, key, refill, out)
+        def recording(seed, counter, out):
+            calls.append((counter, out.size))
+            inner(seed, counter, out)
 
-        monkeypatch.setattr(ens, "_row_uniforms", recording)
+        monkeypatch.setattr(ens, "_uniforms", recording)
         return calls
+
+    @staticmethod
+    def _refills(calls):
+        """(stream, refill) of the refill draws among ``calls``: refill k of
+        stream r reads from counter (0, 0, r, k)."""
+        return [((c >> 128) % 2**64, c >> 192) for c, _ in calls if c >> 192]
 
     @pytest.mark.parametrize("reservoir", [0.0, 1.0])
     def test_refilled_rows_independent_of_block_split(self, monkeypatch, reservoir):
@@ -282,7 +288,7 @@ class TestRejectionSampler:
         calls = self._record_draws(monkeypatch)
         streams = list(range(24))
         whole = ens.sample_batch(CANON, 21, streams)
-        assert any(refill > 0 for _, refill in calls)
+        assert self._refills(calls)
         perm = np.random.default_rng(2).permutation(len(streams))
         assert np.array_equal(ens.sample_batch(CANON, 21, [streams[i] for i in perm]), whole[perm])
         for split in ([5, 19], [1, 11, 12], [23, 1]):
@@ -293,13 +299,26 @@ class TestRejectionSampler:
             assert np.array_equal(ens.sample_configuration(CANON, 21, s).u, whole[s])
 
     def test_refilled_particle_law_ks(self, monkeypatch):
-        # j = 28 (TV bound 0.49) with a one-slot-per-sqrt(c) reservoir: about
-        # half the 1e5 columns go to refills in every round
+        # j = 28 (TV bound 0.49, exponential class) with a one-slot-per-
+        # sqrt(c) reservoir: about half the 1e5 columns go to refills
         monkeypatch.setattr(ens, "_RESERVOIR", 1.0)
         calls = self._record_draws(monkeypatch)
+        proposals = []
+        for name in ("_exp_proposal", "_gamma_proposal"):
+            def counting(*args, _inner=getattr(ens, name)):
+                proposals.append(1)
+                return _inner(*args)
+
+            monkeypatch.setattr(ens, name, counting)
         ndraw = 100_000
         draws = _particle_draws(CANON, 28, 7, ndraw)
-        assert len(calls) > 10
+        # the first round calls both proposals; each retry round, one
+        rounds = len(proposals) - 2
+        assert rounds >= 5
+        # every call after the first draw is a refill of stream 28, numbered
+        # 1, 2, ..., in every retry round, bar the last when leftovers suffice
+        assert self._refills(calls) == [(28, k) for k in range(1, len(calls))]
+        assert rounds - 1 <= len(calls) - 1 <= rounds
         assert _ks_of_draws(CANON, 28, draws) < 1.63 / math.sqrt(ndraw)
 
     def test_marsaglia_tsang_law_ks_at_large_shape(self):
@@ -313,9 +332,11 @@ class TestRejectionSampler:
         assert _ks_of_draws(params, j, draws) < 1.63 / math.sqrt(ndraw)
 
     @pytest.mark.parametrize("reservoir", [ens._RESERVOIR, 0.0])
-    def test_one_draw_call_per_row_and_refill(self, monkeypatch, reservoir):
-        # every retry round runs over the block, so generator calls are rows
-        # plus refills (none at the default reservoir) however many rounds run
+    def test_one_draw_call_per_run_and_refill(self, monkeypatch, reservoir):
+        # the first draws of a run of consecutive streams are one generator
+        # call, and every retry round runs over the block, so generator calls
+        # are runs plus refills (none at the default reservoir) however many
+        # rounds run
         monkeypatch.setattr(ens, "_RESERVOIR", reservoir)
         calls = self._record_draws(monkeypatch)
         rounds = []
@@ -326,18 +347,37 @@ class TestRejectionSampler:
             return inner(*args)
 
         monkeypatch.setattr(ens, "_gamma_proposal", counting)
-        rows = 64
-        ens.sample_batch(CANON, 3, range(rows))
+        runs = [range(40), range(50, 74), range(45, 46)]
+        ens.sample_batch(CANON, 3, [s for run in runs for s in run])
         assert len(rounds) - 1 >= 3
-        assert sorted(s for s, refill in calls if refill == 0) == list(range(rows))
+        first = [(c, size) for c, size in calls if not c >> 192]
+        row = first[-1][1]
+        assert first == [(run[0] * row // 4, len(run) * row) for run in runs]
         refills = {}
-        for s, refill in calls:
+        for s, refill in self._refills(calls):
             refills.setdefault(s, []).append(refill)
         for seen in refills.values():
-            assert seen == list(range(len(seen)))
-        assert len(calls) == rows + sum(len(seen) - 1 for seen in refills.values())
+            assert seen == list(range(1, len(seen) + 1))
+        assert len(calls) == len(runs) + sum(len(seen) for seen in refills.values())
         if reservoir:
-            assert len(calls) == rows
+            assert len(calls) == len(runs)
+
+    def test_first_draws_carry_across_counter_words(self, monkeypatch):
+        # row r reads counter blocks [r B, (r + 1) B); around s = 2^64 / B the
+        # block counter carries from its low 64-bit word into the next
+        calls = self._record_draws(monkeypatch)
+        ens.sample_batch(CANON, 6, [0])
+        s = 2**64 // (calls[0][1] // 4) + 1
+        batch = ens.sample_batch(CANON, 6, range(s - 1, s + 2))
+        assert calls[-1][0] < 2**64 < calls[-1][0] + calls[-1][1] // 4
+        for i, stream in enumerate(range(s - 1, s + 2)):
+            assert np.array_equal(ens.sample_configuration(CANON, 6, stream).u, batch[i])
+
+    def test_two_candidate_rounds(self, monkeypatch):
+        # two candidates per entry and round at least halve the retry rounds:
+        # sample_batch(CANON, 3, range(64)) needed 9 with one candidate
+        monkeypatch.setattr(ens, "_MAX_ROUNDS", 5)
+        ens.sample_batch(CANON, 3, range(64))
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(ens, "_MAX_ROUNDS", 0)

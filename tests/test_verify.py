@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from hardedge import ensemble as ens
+from hardedge import verify
 from hardedge.ensemble import EnsembleParams, sample_configuration
 from hardedge.process import build_statistic
 from hardedge.verify import (
@@ -79,6 +81,48 @@ class TestStatisticReduction:
             assert np.max(np.abs(out[0][i] - path.value(grid))) <= 1e-13
             if with_levels:
                 assert np.array_equal(out[2][i], path.hitting_time(levels))
+
+
+    def test_block_budget_keeps_report_bytes(self, monkeypatch):
+        # one block of 128 rows and one of 22 at the default budget; a budget
+        # of 600 particles gives blocks of 3 rows at n = 200 and one below n
+        # gives single rows, with the same report bytes
+        p = EnsembleParams(0.0, 1.0, 0.5, 200)
+        configs = [ExperimentConfig(kind="hitting", params=p, levels=(0.075, 0.225),
+                                    cross_times=(1.0,), replicates=150, seed=4,
+                                    lemma_replicates=40),
+                   ExperimentConfig(kind="clt", params=p, grid=(0.5, 2.0), replicates=150,
+                                    seed=4)]
+        want = [run_campaign(c).to_json() for c in configs]
+        inner = ens.sample_batch
+        for budget, rows in ((600, 3), (199, 1)):
+            seen = []
+
+            def recording(params, seed, streams):
+                seen.append(len(streams))
+                return inner(params, seed, streams)
+
+            monkeypatch.setattr(ens, "sample_batch", recording)
+            monkeypatch.setattr(verify, "_BLOCK_PARTICLES", budget)
+            assert [run_campaign(c).to_json() for c in configs] == want
+            assert max(seen) == rows
+
+    def test_no_spread_gives_no_z_score(self):
+        # a constant column (all replicates equal) has no skewness, kurtosis
+        # or z-score; its gate fails instead of dividing by zero
+        skew, exkurt = verify._skew_exkurt(np.array([[1.0, 0.0], [1.0, 2.0]]))
+        assert np.isnan(skew[0]) and np.isnan(exkurt[0])
+        assert (skew[1], exkurt[1]) == (0.0, -2.0)
+        assert verify._z(0.3, 0.0, 0.0) is None and verify._z(math.nan, 0.0, 1.0) is None
+        assert verify._z(0.5, 0.25, 0.5) == 0.5
+        gate = verify._z_assertion("gate", [("a", 0.1), ("b", None)], 5.0)
+        assert not gate["passed"] and "at b" in gate["detail"]
+        assert verify._row("skewness", estimate=math.nan)["estimate"] is None
+        # no particle reaches T = 1e-6: S(T) = 0 in every replicate
+        report = run_escape(ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 10),
+                                             horizon=1e-6, replicates=2, seed=0))
+        gate = {a["name"]: a for a in report.assertions}["statistic_concentrates_on_limit_mean"]
+        assert not gate["passed"] and "no spread" in gate["detail"]
 
 
 class TestCltCampaign:
