@@ -16,7 +16,7 @@ from .ensemble import (
     tv_upper_bound,
     weight_w,
 )
-from .limit_law import GridSample, LimitLaw, omega1, omega2, sample_gaussian_path
+from .limit_law import LimitLaw, omega1, omega2
 from .process import (
     StepProcess,
     TestFunction,

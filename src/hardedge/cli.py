@@ -35,17 +35,18 @@ __all__ = ["main", "parse_grid"]
 
 def parse_grid(text: str) -> tuple:
     """Grid syntax: '0.5,1,2,4' | 'linspace:a:b:count' | 'logspace:a:b:count'
-    (logspace bounds are base-10 exponents)."""
+    (logspace bounds are base-10 exponents); ascending in every syntax."""
     if text.startswith("linspace:") or text.startswith("logspace:"):
         kind, a, b, count = text.split(":")
         a, b, count = float(a), float(b), int(count)
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
         vals = np.linspace(a, b, count) if kind == "linspace" else np.logspace(a, b, count)
-        return tuple(float(v) for v in vals)
-    vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        vals = tuple(float(v) for v in vals)
+    else:
+        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if list(vals) != sorted(vals):
-        raise ValueError(f"explicit grid must be sorted ascending: {text!r}")
+        raise ValueError(f"grid must be sorted ascending: {text!r}")
     return vals
 
 

@@ -27,15 +27,16 @@ its tolerance.  For positive phi, tau inverts m1 below L = m1(inf) at all
 levels together: the pass gives m1 at the doubling knots 1, 2, 4, ..., each
 level is bracketed between two knots and runs its own safeguarded Newton
 iteration, and every iterate's m1(t) = m1(knot) + int_knot^t comes from one
-batched quadrature over the levels not yet converged.  The hitting-time
-limit has covariance tau'(h1) tau'(h2) cov(tau(h1), tau(h2)).
+batched quadrature over the levels not yet converged.  By Shorack's delta
+method the hitting time at level h behaves as -tau'(h) times the statistic
+at tau(h), so ``hitting`` reads tau', the hitting-time Gram matrix
+tau'(h1) tau'(h2) cov(tau(h1), tau(h2)) and the cross block
+-tau'(h) cov(t, tau(h)) off one Gram matrix over the times and tau(levels).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,14 +47,7 @@ from .ensemble import EnsembleParams
 from .process import TestFunction
 from .quadrature import integrate
 
-__all__ = [
-    "omega1",
-    "omega2",
-    "LimitLaw",
-    "GridSample",
-    "HittingLimit",
-    "sample_gaussian_path",
-]
+__all__ = ["omega1", "omega2", "LimitLaw", "HittingLimit"]
 
 # The gamma ratios are 0/0 at x = 0 and x^k underflows near 1e-103; below this
 # radius the first omitted Taylor term is under 1e-16 relative.
@@ -121,39 +115,6 @@ def _cumulative(integrand, points, what: str, **opts) -> np.ndarray:
     return np.cumsum(integrate(integrand, starts, ends, what, **opts), axis=0)[inverse]
 
 
-@dataclass(frozen=True)
-class GridSample:
-    """One Gaussian path sampled on a grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.shape != v.shape or g.ndim != 1:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise ValueError("grid and values must be finite")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def to_csv(self) -> str:
-        lines = ["t,value"]
-        for t, v in zip(self.grid, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "seed": int(self.seed),
-            "grid": [float(t) for t in self.grid],
-            "values": [float(v) for v in self.values],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
 class HittingLimit(NamedTuple):
     """Limits of the hitting times at a list of levels h."""
 
@@ -188,19 +149,11 @@ class LimitLaw:
         return self.kappa * _cumulative(self._moment_integrand, points, "m1 and m2",
                                         **_QUAD_OPTS).T
 
-    def m_k(self, k: int, t):
-        """kappa * int_0^t phi(x)^k omega1(x) dx for k in {1, 2}; t may be +inf,
-        or a 1-d array of such points, which gives an array."""
-        if k not in (1, 2):
-            raise ValueError(f"k must be 1 or 2, got {k}")
-        m = self.moments(np.atleast_1d(np.asarray(t, dtype=float)))[k - 1]
-        return float(m[0]) if np.ndim(t) == 0 else m
-
     def m1(self, t):
-        return self.m_k(1, t)
-
-    def m2(self, t):
-        return self.m_k(2, t)
+        """kappa * int_0^t phi(x) omega1(x) dx; t may be +inf, or a 1-d array of
+        such points, which gives an array."""
+        m = self.moments(np.atleast_1d(np.asarray(t, dtype=float)))[0]
+        return float(m[0]) if np.ndim(t) == 0 else m
 
     def _rate_table(self, points):
         """(A_1, A_2, w) with A_k[i, j] = s_j int_0^{points[i]} phi^k e^{-s_j x} dx
@@ -218,12 +171,6 @@ class LimitLaw:
                             limit=_QUAD_OPTS["limit"])
         return table[:, 0], table[:, 1], _S_WEIGHTS
 
-    def m12(self, t1, t2) -> float:
-        """kappa * int_0^t1 int_0^t2 phi(x1) phi(x2) omega2(x1+x2); the
-        arguments are sorted first, so m12(a, b) == m12(b, a) exactly."""
-        a1, _, w = self._rate_table(sorted((float(t1), float(t2))))
-        return self.kappa * float(np.dot(w * a1[0], a1[1]))
-
     # ---- covariance kernels --------------------------------------------
 
     def gram_statistic(self, grid) -> np.ndarray:
@@ -235,11 +182,6 @@ class LimitLaw:
         b = a1 * np.sqrt(w)
         gram = np.where(t[:, None] <= t[None, :], m2[:, None], m2[None, :]) - b @ b.T
         return self.kappa * 0.5 * (gram + gram.T)
-
-    def cov_statistic(self, t1, t2) -> float:
-        """Limit covariance of the scaled centered statistic:
-        m2(t1 ^ t2) - m12(t1, t2)."""
-        return float(self.gram_statistic(sorted((float(t1), float(t2))))[0, 1])
 
     @cached_property
     def mass_limit(self) -> float:
@@ -303,60 +245,14 @@ class LimitLaw:
                 return out
         raise ArithmeticError(f"inverse mean at levels {h[live]!r} did not converge; this is a bug")
 
-    def tau_prime(self, h) -> float:
-        """Derivative of tau: 1 / (kappa * phi(tau(h)) * omega1(tau(h)))."""
-        return 1.0 / float(self._m1_deriv(self.tau(h)))
-
     def hitting(self, levels, times=()) -> HittingLimit:
         """tau, tau', the hitting-time Gram matrix over ``levels`` and the
-        cross-covariances with the statistic at ``times``; tau solves all
-        levels in one call."""
+        cross-covariances with the statistic at ``times``, all from one tau
+        solve and one Gram matrix K over (times, tau(levels)): the joint
+        covariance is diag(I, -tau') K diag(I, -tau')."""
         tau = self.tau(np.asarray(levels, dtype=float).reshape(-1))
-        slope = self._m1_deriv(tau)
-        d = 1.0 / slope
-        cross = np.array([[-self.cov_statistic(t, th) / sl for th, sl in zip(tau, slope)]
-                          for t in times]).reshape(len(times), len(tau))
-        return HittingLimit(tau, d, np.outer(d, d) * self.gram_statistic(tau), cross)
-
-    def gram_hitting(self, levels) -> np.ndarray:
-        """Matrix tau'(h_a) tau'(h_b) cov(tau(h_a), tau(h_b)) over ``levels``."""
-        return self.hitting(levels).gram
-
-    def cov_hitting(self, h1, h2) -> float:
-        """Limit covariance of the scaled centered hitting time:
-        tau'(h1) tau'(h2) cov(tau(h1), tau(h2))."""
-        return float(self.gram_hitting(sorted((float(h1), float(h2))))[0, 1])
-
-    def cov_cross(self, t, h) -> float:
-        """Limit cross-covariance between the statistic at time t and the
-        hitting time at level h: -tau'(h) * cov(t, tau(h))."""
-        return float(self.hitting([h], [t]).cross[0, 0])
-
-
-def _cholesky_with_jitter(gram: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.diag(gram))) if len(gram) else 0.0
-    jitter = 0.0
-    for attempt in range(4):
-        try:
-            return np.linalg.cholesky(gram + jitter * np.eye(len(gram)))
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * max(scale, 1.0) * 10.0**attempt
-    raise np.linalg.LinAlgError("Gram matrix is not positive semidefinite even after "
-                                "jitter escalation")
-
-
-def sample_gaussian_path(gram, grid, seed: int, stream: int = 0) -> GridSample:
-    """Draw a centered Gaussian vector on ``grid`` with covariance ``gram``, a
-    symmetric positive-semidefinite matrix such as ``law.gram_statistic(grid)``."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    if np.shape(gram) != (len(g), len(g)):
-        raise ValueError(f"gram must have shape {(len(g), len(g))}, got {np.shape(gram)}")
-    chol = _cholesky_with_jitter(np.asarray(gram, dtype=float))
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    z = gen.standard_normal(len(g))
-    return GridSample(grid=g, values=chol @ z, seed=int(seed))
+        d = 1.0 / self._m1_deriv(tau)
+        times = np.asarray(times, dtype=float).reshape(-1)
+        k = len(times)
+        gram = self.gram_statistic(np.concatenate((times, tau)))
+        return HittingLimit(tau, d, np.outer(d, d) * gram[k:, k:], -gram[:k, k:] * d)

@@ -97,7 +97,7 @@ def integrate(f, a, b, what: str, epsabs: float, epsrel: float, limit: int):
     lo, hi = np.where(tail, 0.0, a.ravel()), np.where(tail, 1.0, b.ravel())
     val, err, rnd = _rule(f, lo, hi, origin)
     shape = val.shape[1:]
-    total = val.reshape(len(lo), -1).copy()
+    total = val.reshape(len(lo), math.prod(shape)).copy()
     err_sum, rnd_sum = err.tolist(), rnd.tolist()
     heaps = [[item] for item in zip((-err).tolist(), lo.tolist(), hi.tolist(), val, rnd_sum)]
     out = [None] * len(heaps)

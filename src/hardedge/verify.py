@@ -91,8 +91,10 @@ class PhiSpec:
     @classmethod
     def parse(cls, text: str) -> "PhiSpec":
         """Parse CLI syntax: 'one', 'rational', 'exp_decay:0.5', 'table:FILE.csv'."""
-        head, _, arg = text.partition(":")
+        head, sep, arg = text.partition(":")
         if head == "one" or head == "rational":
+            if sep:
+                raise ValueError(f"phi selector {head!r} takes no argument, got {text!r}")
             return cls(kind=head)
         if head == "exp_decay":
             return cls(kind="exp_decay", param=float(arg) if arg else 1.0)

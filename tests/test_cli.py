@@ -59,8 +59,9 @@ class TestGridParsing:
         assert got == pytest.approx((0.1, 1.0, 10.0))
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            parse_grid("2,1")
+        for text in ("2,1", "linspace:2:1:3", "logspace:3:2:2"):
+            with pytest.raises(ValueError, match="ascending"):
+                parse_grid(text)
 
 
 class TestSampleCommand:
@@ -127,6 +128,12 @@ class TestLimitCommand:
     def test_empty_grid_exits_2(self, tmp_path):
         code = main(["limit", "--grid", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("phi", ["one:7", "rational:2", "one:"])
+    def test_argument_to_plain_phi_exits_2(self, tmp_path, capsys, phi):
+        code = main(["limit", "--grid", "1", "--phi", phi, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "takes no argument" in capsys.readouterr().err
 
     def test_missed_tolerance_exits_3(self, tmp_path, monkeypatch, capsys):
         # one subinterval cannot meet the m1 tolerance: ArithmeticError, not a
@@ -206,6 +213,14 @@ class TestVerifyCommand:
         ])
         assert code == 2
         assert "lemma_replicates must be >= 1" in capsys.readouterr().err
+
+    def test_descending_n_ladder_exits_2(self, tmp_path, capsys):
+        code = main([
+            "verify", "--campaign", "tv_decay", "--n", "1000", "--n-ladder", "logspace:3:2:2",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "ascending" in capsys.readouterr().err
 
     def test_report_schema_validates(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -9,7 +9,7 @@ from scipy.special import roots_legendre
 from hardedge import limit_law as ll
 from hardedge import process as proc
 from hardedge.ensemble import EnsembleParams
-from hardedge.limit_law import LimitLaw, omega1, omega2, sample_gaussian_path
+from hardedge.limit_law import LimitLaw, omega1, omega2
 from hardedge.process import TestFunction as PhiFunction
 
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
@@ -76,8 +76,7 @@ class TestMoments:
 
     def test_zero_time(self):
         law = LimitLaw(CANON, proc.phi_one())
-        assert law.m_k(1, 0.0) == 0.0
-        assert law.m_k(2, 0.0) == 0.0
+        assert np.array_equal(law.moments([0.0]), [[0.0], [0.0]])
 
     def test_dual_quadrature_exp_decay(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(1.0))
@@ -107,10 +106,20 @@ class TestMoments:
         ref = CANON.kappa * quad(lambda s: s * inner(s), 0.0, 1.0, epsabs=1e-11)[0]
         assert law.m1(math.inf) == pytest.approx(ref, abs=1e-9)
 
-    def test_invalid_k(self):
+    def test_invalid_points(self):
         law = LimitLaw(CANON, proc.phi_one())
-        with pytest.raises(ValueError):
-            law.m_k(3, 1.0)
+        for points in ([-0.1], [np.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                law.moments(points)
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda law: law.moments([]), (2, 0)),
+        (lambda law: law.m1(np.array([])), (0,)),
+        (lambda law: law.gram_statistic([]), (0, 0)),
+        (lambda law: law.hitting([]).gram, (0, 0)),
+    ], ids=["moments", "m1", "gram_statistic", "hitting"])
+    def test_empty_batch(self, call, shape):
+        assert call(LimitLaw(CANON, proc.phi_one())).shape == shape
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # QUADPACK stops at one subinterval with its estimate above tolerance
@@ -120,15 +129,21 @@ class TestMoments:
             law.m1(math.inf)
 
 
+def _m12(law, t1, t2):
+    """m12(t1, t2) = m2(t1 ^ t2) - cov(t1, t2), the cov read off the Gram
+    matrix over (t1, t2) in that order."""
+    return law.moments([min(t1, t2)])[1, 0] - law.gram_statistic([t1, t2])[0, 1]
+
+
 class TestM12:
     def test_degenerate_edges(self):
         law = LimitLaw(CANON, proc.phi_one())
-        assert law.m12(0.0, 5.0) == 0.0
-        assert law.m12(5.0, 0.0) == 0.0
+        assert _m12(law, 0.0, 5.0) == 0.0
+        assert _m12(law, 5.0, 0.0) == 0.0
 
     def test_exact_symmetry(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(0.7))
-        assert law.m12(1.3, 2.9) == law.m12(2.9, 1.3)
+        assert _m12(law, 1.3, 2.9) == _m12(law, 2.9, 1.3)
 
     def test_counting_reduction_oracle(self):
         # for phi = 1, m12(t, t) = kappa * int_0^1 (1 - e^{-st})^2 ds
@@ -136,18 +151,17 @@ class TestM12:
         t = 1.0
         ref = CANON.kappa * quad(lambda s: (-math.expm1(-s * t)) ** 2, 0.0, 1.0,
                                  epsabs=1e-13)[0]
-        assert law.m12(t, t) == pytest.approx(ref, abs=1e-9)
+        assert _m12(law, t, t) == pytest.approx(ref, abs=1e-9)
 
 
 class TestCovariance:
     def test_vanishes_at_origin(self):
         law = LimitLaw(CANON, proc.phi_one())
-        assert law.cov_statistic(0.0, 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert law.gram_statistic([0.0, 3.0])[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_nonnegative(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(1.0))
-        for t in (0.25, 1.0, 4.0, 16.0):
-            assert law.cov_statistic(t, t) >= -1e-12
+        assert np.all(np.diag(law.gram_statistic([0.25, 1.0, 4.0, 16.0])) >= -1e-12)
 
     def test_gram_psd_and_cauchy_schwarz(self):
         law = LimitLaw(CANON, proc.phi_one())
@@ -176,7 +190,7 @@ class TestCountingOracle:
             ref = np.array([float(_counting_mean_mp(mp.mpf(float(t)), kappa)) if t > 0 else 0.0
                             for t in grid])
         m1, m2 = law.moments(grid)
-        assert np.array_equal(m1, law.m1(grid)) and np.array_equal(m2, law.m2(grid))
+        assert np.array_equal(m1, law.m1(grid))
         assert m1 == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert m2 == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert m1[1] == law.m1(1e-6)
@@ -215,20 +229,21 @@ class TestTau:
     def test_tau_prime_closed_form_at_zero(self):
         law = LimitLaw(CANON, proc.phi_one())
         # tau'(0) = 1/(kappa * omega1(0)) = 2/kappa
-        assert law.tau_prime(0.0) == pytest.approx(2.0 / CANON.kappa, rel=1e-10, abs=0.0)
+        assert law.hitting([0.0]).tau_prime[0] == pytest.approx(2.0 / CANON.kappa,
+                                                               rel=1e-10, abs=0.0)
 
     def test_tau_prime_matches_finite_differences(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(0.5))
         L = law.mass_limit
         eps = 1e-6
-        for h in (0.2 * L, 0.5 * L, 0.8 * L):
+        levels = (0.2 * L, 0.5 * L, 0.8 * L)
+        for h, tau_prime in zip(levels, law.hitting(levels).tau_prime):
             fd = (law.tau(h + eps) - law.tau(h - eps)) / (2 * eps)
-            assert law.tau_prime(h) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            assert tau_prime == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_tau_prime_positive(self):
         law = LimitLaw(CANON, proc.phi_one())
-        for h in (0.1, 0.3, 0.6):
-            assert law.tau_prime(h * law.mass_limit) > 0.0
+        assert np.all(law.hitting(law.mass_limit * np.array([0.1, 0.3, 0.6])).tau_prime > 0.0)
 
     def test_requires_positive_phi(self):
         signed = PhiFunction(fn=lambda x: np.cos(x), bound=1.0, positive=False)
@@ -246,104 +261,42 @@ class TestTau:
 class TestHittingCovariance:
     def test_vanishes_at_zero_level(self):
         law = LimitLaw(CANON, proc.phi_one())
-        assert law.cov_hitting(0.0, 0.3) == pytest.approx(0.0, abs=1e-10)
+        assert law.hitting([0.0, 0.3]).gram[0, 1] == pytest.approx(0.0, abs=1e-10)
 
     def test_symmetry_and_psd(self):
         law = LimitLaw(CANON, proc.phi_one())
         levels = CANON.kappa * np.array([0.1, 0.3, 0.5])
-        gram = law.gram_hitting(levels)
+        gram = law.hitting(levels).gram
         assert np.allclose(gram, gram.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
     def test_hitting_solves_each_level_once(self, monkeypatch):
-        # the bundle equals the one-quantity methods bit for bit, with one
-        # vector tau solve for all levels
+        # one vector tau solve and one rate table for all levels and times;
+        # every entry matches its own 2-point Gram matrix
         law = LimitLaw(CANON, proc.phi_rational())
         levels = law.mass_limit * np.array([0.1, 0.4, 0.8])
         times = [0.5, 3.0]
-        solves = []
-        tau = LimitLaw.tau
+        solves, tables = [], []
+        tau, rate_table = LimitLaw.tau, LimitLaw._rate_table
         monkeypatch.setattr(LimitLaw, "tau", lambda self, h: solves.append(h) or tau(self, h))
+        monkeypatch.setattr(LimitLaw, "_rate_table",
+                            lambda self, p: tables.append(p) or rate_table(self, p))
         hit = law.hitting(levels, times)
         assert len(solves) == 1 and np.array_equal(solves[0], levels)
+        assert len(tables) == 1
         monkeypatch.undo()
         assert np.array_equal(hit.tau, [law.tau(h) for h in levels])
-        assert np.array_equal(hit.tau_prime, [law.tau_prime(h) for h in levels])
-        assert np.array_equal(hit.gram, law.gram_hitting(levels))
-        assert np.array_equal(hit.cross, [[law.cov_cross(t, h) for h in levels] for t in times])
+        assert np.array_equal(hit.tau_prime, 1.0 / (law.kappa * law.phi(hit.tau) * omega1(hit.tau)))
+        d = hit.tau_prime
+        cross = [[-law.gram_statistic([t, th])[0, 1] * dk for th, dk in zip(hit.tau, d)]
+                 for t in times]
+        gram = [[da * db * law.gram_statistic([ta, tb])[0, 1] for tb, db in zip(hit.tau, d)]
+                for ta, da in zip(hit.tau, d)]
+        assert hit.cross == pytest.approx(np.array(cross), rel=0.0, abs=1e-13)
+        assert hit.gram == pytest.approx(np.array(gram), rel=0.0, abs=1e-13)
+        joint = np.block([[law.gram_statistic(times), hit.cross], [hit.cross.T, hit.gram]])
+        assert np.min(np.linalg.eigvalsh(joint)) >= -1e-12 * np.max(np.diag(joint))
         assert law.hitting(levels).cross.shape == (0, len(levels))
-
-
-class TestGaussianSampling:
-    def test_fixed_seed_reproducibility(self):
-        law = LimitLaw(CANON, proc.phi_one())
-        grid = [0.5, 1.0, 2.0]
-        gram = law.gram_statistic(grid)
-        g1 = sample_gaussian_path(gram, grid, seed=7)
-        g2 = sample_gaussian_path(gram, grid, seed=7)
-        assert np.array_equal(g1.values, g2.values)
-        assert np.any(sample_gaussian_path(gram, grid, seed=8).values != g1.values)
-
-    def test_single_point_grid_is_scalar_normal(self):
-        law = LimitLaw(CANON, proc.phi_one())
-        var = law.cov_statistic(1.0, 1.0)
-        gram = law.gram_statistic([1.0])
-        draws = np.array([
-            sample_gaussian_path(gram, [1.0], seed=3, stream=i).values[0]
-            for i in range(4000)
-        ])
-        assert np.var(draws, ddof=1) == pytest.approx(var, rel=0.15)
-
-    def test_draw_is_cholesky_times_normals(self):
-        # the path equals chol(Gram) @ z for the keyed Philox stream; the
-        # covariance itself is then verified vectorized below
-        law = LimitLaw(CANON, proc.phi_one())
-        grid = np.array([0.5, 1.0, 2.0])
-        gram = law.gram_statistic(grid)
-        chol = np.linalg.cholesky(gram)
-        key = np.array([np.uint64(11), np.uint64(4)], dtype=np.uint64)
-        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
-        got = sample_gaussian_path(gram, grid, seed=11, stream=4)
-        assert np.array_equal(got.values, chol @ z)
-
-    def test_empirical_covariance_monte_carlo(self):
-        law = LimitLaw(CANON, proc.phi_one())
-        grid = np.array([0.5, 1.0, 2.0])
-        gram = law.gram_statistic(grid)
-        chol = np.linalg.cholesky(gram)
-        draws = 100000
-        key = np.array([np.uint64(5), np.uint64(0)], dtype=np.uint64)
-        z = np.random.Generator(np.random.Philox(key=key)).standard_normal((draws, 3))
-        sample = z @ chol.T
-        emp = np.cov(sample.T, ddof=1)
-        scale = 5.0 * math.sqrt(2.0 / draws)
-        for i in range(3):
-            for j in range(3):
-                entry_scale = math.sqrt(gram[i, i] * gram[j, j])
-                assert abs(emp[i, j] - gram[i, j]) <= scale * entry_scale
-
-    def test_jitter_handles_degenerate_grid(self):
-        # duplicate-free but perfectly correlated points -> singular Gram
-        got = sample_gaussian_path(np.ones((2, 2)), [0.5, 1.0], seed=0)
-        assert np.all(np.isfinite(got.values))
-
-    def test_grid_validation(self):
-        law = LimitLaw(CANON, proc.phi_one())
-        with pytest.raises(ValueError):
-            sample_gaussian_path(law.gram_statistic([]), [], seed=0)
-        with pytest.raises(ValueError):
-            sample_gaussian_path(law.gram_statistic([2.0, 1.0]), [2.0, 1.0], seed=0)
-
-    def test_sample_serialization(self):
-        import json as _json
-        law = LimitLaw(CANON, proc.phi_one())
-        got = sample_gaussian_path(law.gram_statistic([0.5, 1.0]), [0.5, 1.0], seed=2)
-        lines = got.to_csv().strip().splitlines()
-        assert lines[0] == "t,value"
-        assert float(lines[1].split(",")[0]) == 0.5
-        payload = _json.loads(got.to_json())
-        assert payload["grid"] == [0.5, 1.0]
-        assert payload["values"] == [float(v) for v in got.values]
 
 
 LIMIT_TABLE = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500)
@@ -363,6 +316,7 @@ class TestRateMixture:
     covariances, checked against closed forms and an mpmath oracle."""
 
     def test_rational_against_mpmath(self):
+        # cov(t1, t2) = m2(t1 ^ t2) - m12(t1, t2), with
         # m2(t) = kappa int_0^1 s Phi_2(t, s) ds and
         # m12(t1, t2) = kappa int_0^1 s^2 Phi_1(t1, s) Phi_1(t2, s) ds
         law = LimitLaw(LIMIT_TABLE, proc.phi_rational())
@@ -375,14 +329,10 @@ class TestRateMixture:
             m12 = [[kappa * mp.quad(lambda s: s * s * _rational_laplace(1, a, s)
                                     * _rational_laplace(1, b, s), [0, 1])
                     for b in pts] for a in pts]
-            ref_m12 = np.array(m12, dtype=float)
-            ref_gram = np.array([[m2[min(i, j)] - m12[i][j] for j in range(6)]
-                                 for i in range(6)], dtype=float)
-        gram = law.gram_statistic(grid)
+            ref_gram = np.array([[m2[min(i, j)] - m12[i][j] for j in range(7)]
+                                 for i in range(7)], dtype=float)
+        gram = law.gram_statistic(np.append(grid, np.inf))
         assert gram == pytest.approx(ref_gram, rel=1e-12, abs=0.0)
-        ext = np.append(grid, np.inf)
-        got = np.array([[law.m12(a, b) for b in ext] for a in ext])
-        assert got == pytest.approx(ref_m12, rel=1e-12, abs=0.0)
 
     def test_counting_closed_form(self):
         # phi = 1: cov(t1, t2) = kappa [g(t1 v t2) - g(t1 + t2)], g(t) = (1 - e^-t)/t
@@ -413,7 +363,7 @@ class TestRateMixture:
         gram = law.gram_statistic(grid)
         assert law.gram_statistic(grid[perm]) == pytest.approx(
             gram[np.ix_(perm, perm)], rel=1e-14, abs=0.0)
-        assert law.cov_statistic(4.0, 0.5) == law.cov_statistic(0.5, 4.0)
+        assert law.gram_statistic([4.0, 0.5])[0, 1] == law.gram_statistic([0.5, 4.0])[0, 1]
 
     def test_table_error_check_raises(self, monkeypatch):
         # below the integrator's own rounding estimate the tolerance is out of reach
