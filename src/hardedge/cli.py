@@ -35,7 +35,8 @@ __all__ = ["main", "parse_grid"]
 
 def parse_grid(text: str) -> tuple:
     """Grid syntax: '0.5,1,2,4' | 'linspace:a:b:count' | 'logspace:a:b:count'
-    (logspace bounds are base-10 exponents); ascending in every syntax."""
+    (logspace bounds are base-10 exponents); strictly ascending in every
+    syntax."""
     if text.startswith("linspace:") or text.startswith("logspace:"):
         kind, a, b, count = text.split(":")
         a, b, count = float(a), float(b), int(count)
@@ -45,9 +46,17 @@ def parse_grid(text: str) -> tuple:
         vals = tuple(float(v) for v in vals)
     else:
         vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if list(vals) != sorted(vals):
-        raise ValueError(f"grid must be sorted ascending: {text!r}")
+    if any(a >= b for a, b in zip(vals, vals[1:])):
+        raise ValueError(f"grid must be strictly ascending: {text!r}")
     return vals
+
+
+def _parse_ladder(text: str) -> tuple:
+    """An n-ladder: a grid of integers."""
+    vals = parse_grid(text)
+    if not all(v.is_integer() for v in vals):
+        raise ValueError(f"n-ladder values must be integers: {text!r}")
+    return tuple(int(v) for v in vals)
 
 
 def _add_ensemble_args(p: argparse.ArgumentParser):
@@ -208,7 +217,7 @@ def _cmd_verify(args) -> int:
         z_max=args.z_max,
         delta=args.delta,
         horizon=args.horizon,
-        n_ladder=tuple(int(v) for v in parse_grid(args.n_ladder)) if args.n_ladder else (),
+        n_ladder=_parse_ladder(args.n_ladder) if args.n_ladder else (),
         tv_threshold=args.tv_threshold,
         escape_threshold=args.escape_threshold,
         slope_max=args.slope_max,

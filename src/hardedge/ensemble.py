@@ -146,10 +146,6 @@ class EnsembleParams:
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "b": self.b, "rho": self.rho, "n": int(self.n)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleParams":
-        return cls(alpha=float(d["alpha"]), b=float(d["b"]), rho=float(d["rho"]), n=int(d["n"]))
-
 
 @dataclass(frozen=True)
 class RadialConfiguration:
@@ -180,17 +176,6 @@ class RadialConfiguration:
             w.writerow([repr(float(v))])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "RadialConfiguration":
-        rows = list(csv.reader(io.StringIO(text)))
-        header = dict(zip(rows[0], rows[1]))
-        params = EnsembleParams(
-            alpha=float(header["alpha"]), b=float(header["b"]),
-            rho=float(header["rho"]), n=int(header["n"]),
-        )
-        u = np.array([float(r[0]) for r in rows[3:] if r], dtype=float)
-        return cls(u=u, params=params, seed=int(header["seed"]), stream=int(header["stream"]))
-
     def to_json(self) -> str:
         payload = {
             "params": self.params.to_dict(),
@@ -199,16 +184,6 @@ class RadialConfiguration:
             "u": [float(v) for v in self.u],
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialConfiguration":
-        d = json.loads(text)
-        return cls(
-            u=np.asarray(d["u"], dtype=float),
-            params=EnsembleParams.from_dict(d["params"]),
-            seed=int(d["seed"]),
-            stream=int(d.get("stream", 0)),
-        )
 
 
 def _check_index(params: EnsembleParams, j) -> np.ndarray:

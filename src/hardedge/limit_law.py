@@ -12,13 +12,13 @@ m_k(t) = kappa int_0^t phi^k omega1 = kappa int_0^1 A_k(t, s) ds, m12(t1, t2)
 
     cov(t1, t2) = kappa int_0^1 Cov(phi(Y_s) 1[Y_s <= t1], phi(Y_s) 1[Y_s <= t2]) ds.
 
-m1 and m2 at any set of points come from one cumulative pass: one batched
-quadrature over the gaps between the sorted points, then a cumulative sum.
-Second moments are read off one table of A_1, A_2 on fixed Gauss-Legendre
-nodes in s, filled the same way, with one vector quadrature in x per gap;
-no quadrature is nested.  A Gram matrix is a weighted sum of
-covariance matrices, so it is positive semidefinite by construction (up to
-the x tolerance), and it is built exactly symmetric.  A_k <= phi.bound^k
+m1 and m2 at any set of points come from one cumulative pass
+(:func:`hardedge.quadrature.cumulative`).  Second moments are read off one
+table of A_1, A_2 on fixed Gauss-Legendre nodes in s, filled the same way,
+with one vector quadrature in x per gap; no quadrature is nested.  A Gram
+matrix is a weighted sum of covariance matrices, so it is positive
+semidefinite by construction (up to the x tolerance), and it is built
+exactly symmetric.  A_k <= phi.bound^k
 also at t = +inf, so one absolute tolerance serves every column.  Every
 integral in x, of m_k and of the table, goes through
 :func:`hardedge.quadrature.integrate`, which evaluates all nodes of a round
@@ -45,7 +45,7 @@ from scipy.special import gammainc
 
 from .ensemble import EnsembleParams
 from .process import TestFunction
-from .quadrature import integrate
+from .quadrature import cumulative, integrate
 
 __all__ = ["omega1", "omega2", "LimitLaw", "HittingLimit"]
 
@@ -103,18 +103,6 @@ _S_NODES, _S_WEIGHTS = _rate_nodes()
 _TAU_KNOTS = np.concatenate(([0.0], 2.0 ** np.arange(47)))
 
 
-def _cumulative(integrand, points, what: str, **opts) -> np.ndarray:
-    """int_0^t integrand at every t of ``points`` (any order, repeats and +inf
-    allowed): one batched quadrature over the gaps between the sorted
-    distinct points, then a cumulative sum."""
-    t = np.asarray(points, dtype=float)
-    if t.ndim != 1 or not (t >= 0.0).all():  # also rejects NaN
-        raise ValueError(f"points must be a 1-d array of t >= 0 (or +inf), got {points!r}")
-    ends, inverse = np.unique(t, return_inverse=True)
-    starts = np.concatenate(([0.0], ends[:-1]))
-    return np.cumsum(integrate(integrand, starts, ends, what, **opts), axis=0)[inverse]
-
-
 class HittingLimit(NamedTuple):
     """Limits of the hitting times at a list of levels h."""
 
@@ -146,8 +134,8 @@ class LimitLaw:
     def moments(self, points) -> np.ndarray:
         """Rows (m1, m2) at every point of ``points`` (any order, repeats and
         +inf allowed), from one cumulative pass."""
-        return self.kappa * _cumulative(self._moment_integrand, points, "m1 and m2",
-                                        **_QUAD_OPTS).T
+        return self.kappa * cumulative(self._moment_integrand, points, "m1 and m2",
+                                       **_QUAD_OPTS).T
 
     def m1(self, t):
         """kappa * int_0^t phi(x) omega1(x) dx; t may be +inf, or a 1-d array of
@@ -167,8 +155,8 @@ class LimitLaw:
             return np.concatenate((p * e, p * p * e), axis=1)
 
         tol = _TABLE_EPSABS * max(phi.bound, phi.bound**2)
-        table = _cumulative(integrand, points, "rate table", epsabs=tol, epsrel=0.0,
-                            limit=_QUAD_OPTS["limit"])
+        table = cumulative(integrand, points, "rate table", epsabs=tol, epsrel=0.0,
+                           limit=_QUAD_OPTS["limit"])
         return table[:, 0], table[:, 1], _S_WEIGHTS
 
     # ---- covariance kernels --------------------------------------------

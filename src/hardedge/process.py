@@ -11,14 +11,13 @@ continuously) by binary search, answers first-hitting queries
     Q(h) = inf{ s >= 0 : S(s) > h }      (+inf when the set is empty),
 
 and computes the exact finite-n mean E S(t) = (1/n) sum_j int_0^t phi f_j by
-adaptive vector quadrature against the per-particle densities
-(:func:`hardedge.quadrature.integrate`, one component per particle).
+adaptive vector quadrature against the per-particle densities, one component
+per particle: E S over a whole grid of t comes from one cumulative pass
+(:func:`hardedge.quadrature.cumulative`) per block of particles.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .ensemble import EnsembleParams, RadialConfiguration, _log_norm
-from .quadrature import integrate
+from .quadrature import cumulative
 from .special_functions import log_reg_lower_gamma
 
 __all__ = [
@@ -154,10 +153,6 @@ class StepProcess:
         loc.setflags(write=False)
         inc.setflags(write=False)
 
-    @property
-    def cumulative(self) -> np.ndarray:
-        return self._cumulative
-
     def value(self, t):
         """S(t), right-continuous; t >= 0 or +inf."""
         ta = np.asarray(t, dtype=float)
@@ -183,14 +178,6 @@ class StepProcess:
         loc = np.concatenate((self.locations, [np.inf]))
         out = loc[idx]
         return float(out) if np.isscalar(h) or out.ndim == 0 else out
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["location", "value"])
-        for loc, cum in zip(self.locations, self._cumulative):
-            w.writerow([repr(float(loc)), repr(float(cum))])
-        return buf.getvalue()
 
 
 def build_statistic(config: RadialConfiguration, phi: TestFunction) -> StepProcess:
@@ -254,28 +241,27 @@ def _weighted_densities(params: EnsembleParams, phi: TestFunction, s: np.ndarray
     return integrand
 
 
-def mean_exact(params: EnsembleParams, phi: TestFunction, t) -> float:
-    """Exact E S(t) = (1/n) sum_j int_0^t phi(x) f_j(x) dx.
+def mean_exact(params: EnsembleParams, phi: TestFunction, t):
+    """Exact E S(t) = (1/n) sum_j int_0^t phi(x) f_j(x) dx at t, or at every
+    point of a 1-d array t (which gives an array), from one cumulative pass
+    (:func:`hardedge.quadrature.cumulative`) per block of particles.
 
     Adaptive Gauss-Kronrod on the vector integrand (one component per
     particle, every node of a rule in one call), max-norm error controlled to
-    1e-10 per component; an error estimate above that raises
+    1e-10 per component and gap; an error estimate above that raises
     ``ArithmeticError``.  Above _MEAN_BLOCK particles, every k-th particle
-    shares one quadrature, so each block spans the whole support.  t = +inf
-    is truncated at a point beyond the 1 - 1e-14 quantile of every particle,
+    shares one pass, so each block spans the whole support.  t = +inf is
+    truncated at a point beyond the 1 - 1e-14 quantile of every particle,
     which costs at most bound * 1e-14 per component.
     """
-    tf = float(t)
-    if math.isnan(tf) or tf < 0.0:
-        raise ValueError(f"t must be >= 0 (or +inf), got {t!r}")
-    if tf == 0.0:
-        return 0.0
-    upper = tf if math.isfinite(tf) else _tail_cutoff(params, 1e-14)
-    shapes = params.shapes()
-    blocks = -(-params.n // _MEAN_BLOCK)
-    total = 0.0
-    for k in range(blocks):
-        integrand = _weighted_densities(params, phi, shapes[k::blocks])
-        total += float(np.sum(integrate(integrand, 0.0, upper, f"mean_exact({tf!r})",
-                                        **_MEAN_QUAD)))
-    return total / params.n
+    points = np.atleast_1d(np.asarray(t, dtype=float))
+    total = np.zeros(points.shape)
+    if points.size:
+        upper = np.where(points == np.inf, _tail_cutoff(params, 1e-14), points)
+        shapes = params.shapes()
+        blocks = -(-params.n // _MEAN_BLOCK)
+        for k in range(blocks):
+            integrand = _weighted_densities(params, phi, shapes[k::blocks])
+            total += cumulative(integrand, upper, "mean_exact", **_MEAN_QUAD).sum(axis=1)
+    m = total / params.n
+    return float(m[0]) if np.ndim(t) == 0 else m

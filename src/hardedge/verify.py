@@ -97,7 +97,7 @@ class PhiSpec:
                 raise ValueError(f"phi selector {head!r} takes no argument, got {text!r}")
             return cls(kind=head)
         if head == "exp_decay":
-            return cls(kind="exp_decay", param=float(arg) if arg else 1.0)
+            return cls(kind="exp_decay", param=float(arg) if sep else 1.0)
         if head == "table":
             with open(arg, newline="") as fh:
                 rows = [r for r in csv.reader(fh) if r]
@@ -388,7 +388,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     if config.center_empirical:
         center = S.mean(axis=0)
     else:
-        center = np.array([proc.mean_exact(params, phi, t) for t in grid])
+        center = proc.mean_exact(params, phi, grid)
     X = math.sqrt(params.n) * (S - center)
 
     rows = []
@@ -550,7 +550,7 @@ def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
         law = LimitLaw(p, phi)
         if m1_grid is None:
             m1_grid = law.m1(grid)
-        me = np.array([proc.mean_exact(p, phi, t) for t in grid])
+        me = proc.mean_exact(p, phi, grid)
         err = float(np.max(np.abs(me - m1_grid)))
         errs.append(err)
         rows.append(_row("centering_sup_error", n=n, estimate=err))
@@ -590,7 +590,7 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
 
     hit = law.hitting(levels, cross_times)
     S, _, Q = _simulate_statistic(config, params, phi, cross_times, levels=levels)
-    center = np.array([proc.mean_exact(params, phi, t) for t in cross_times])
+    center = proc.mean_exact(params, phi, cross_times)
     X = math.sqrt(params.n) * (S - center)
 
     rows = []
@@ -741,7 +741,7 @@ def run_moments(config: ExperimentConfig) -> ExperimentReport:
             raise ValueError(f"bad moment multi-index {m_idx!r} for grid of size {len(grid)}")
 
     S, _, _ = _simulate_statistic(config, params, phi, grid)
-    center = np.array([proc.mean_exact(params, phi, t) for t in grid])
+    center = proc.mean_exact(params, phi, grid)
     X = math.sqrt(params.n) * (S - center)
     gram = law.gram_statistic(grid)
 

@@ -59,7 +59,7 @@ class TestGridParsing:
         assert got == pytest.approx((0.1, 1.0, 10.0))
 
     def test_unsorted_rejected(self):
-        for text in ("2,1", "linspace:2:1:3", "logspace:3:2:2"):
+        for text in ("2,1", "linspace:2:1:3", "logspace:3:2:2", "1,1", "0.5,2,2"):
             with pytest.raises(ValueError, match="ascending"):
                 parse_grid(text)
 
@@ -98,7 +98,7 @@ class TestSampleCommand:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["configurations"]) == 3
-        params = EnsembleParams.from_dict(payload["params"])
+        params = EnsembleParams(**payload["params"])
         for i, row in enumerate(payload["configurations"]):
             assert row["stream"] == i
             expected = sample_configuration(params, payload["seed"], i).u
@@ -134,6 +134,13 @@ class TestLimitCommand:
         code = main(["limit", "--grid", "1", "--phi", phi, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "takes no argument" in capsys.readouterr().err
+
+    def test_empty_exp_decay_rate_exits_2(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["limit", "--grid", "1", "--phi", "exp_decay:", "--out", str(out)]) == 2
+        assert main(["limit", "--grid", "1", "--phi", "exp_decay", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["phi"] == {"kind": "exp_decay", "param": 1.0}
 
     def test_missed_tolerance_exits_3(self, tmp_path, monkeypatch, capsys):
         # one subinterval cannot meet the m1 tolerance: ArithmeticError, not a
@@ -221,6 +228,28 @@ class TestVerifyCommand:
         ])
         assert code == 2
         assert "ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ladder, message", [
+        ("100,100,1000", "ascending"),
+        ("100.7", "integers"),
+        ("logspace:2:3:3", "integers"),  # 316.23 was run as n = 316
+    ])
+    def test_bad_n_ladder_exits_2(self, tmp_path, capsys, ladder, message):
+        code = main([
+            "verify", "--campaign", "tv_decay", "--n", "1000", "--n-ladder", ladder,
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_escape_mass_target_is_the_exact_mean(self, tmp_path):
+        # the exact mean at t = +inf read 9.1e-15 for 0.2330, so this gate
+        # failed with z = 319 against a correct sampler
+        out = tmp_path / "escape.json"
+        main(["verify", "--campaign", "escape", "--phi", "exp_decay:1", "--n", "500",
+              "--replicates", "200", "--delta", "0.2", "--out", str(out)])
+        gates = {a["name"]: a["passed"] for a in json.loads(out.read_text())["assertions"]}
+        assert gates["total_mass_matches_exact_mean"]
 
     def test_report_schema_validates(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 import warnings
 
@@ -10,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from hardedge import ensemble as ens
-from hardedge.ensemble import EnsembleParams, RadialConfiguration
+from hardedge.ensemble import EnsembleParams
 from hardedge.limit_law import omega1
 from hardedge.special_functions import log_reg_lower_gamma
 
@@ -607,14 +610,18 @@ class TestTvSeries:
 class TestSerialization:
     def test_csv_round_trip(self):
         cfg = ens.sample_configuration(CANON, 5)
-        back = RadialConfiguration.from_csv(cfg.to_csv())
-        assert back.params == cfg.params
-        assert back.seed == cfg.seed
-        assert np.array_equal(back.u, cfg.u)
+        rows = list(csv.reader(io.StringIO(cfg.to_csv())))
+        header = dict(zip(rows[0], rows[1]))
+        params = EnsembleParams(alpha=float(header["alpha"]), b=float(header["b"]),
+                                rho=float(header["rho"]), n=int(header["n"]))
+        assert params == cfg.params
+        assert (int(header["seed"]), int(header["stream"])) == (5, 0)
+        assert rows[2] == ["u"]
+        assert np.array_equal([float(r[0]) for r in rows[3:]], cfg.u)
 
     def test_json_round_trip(self):
         cfg = ens.sample_configuration(CANON, 5, stream=3)
-        back = RadialConfiguration.from_json(cfg.to_json())
-        assert back.params == cfg.params
-        assert back.stream == 3
-        assert np.array_equal(back.u, cfg.u)
+        payload = json.loads(cfg.to_json())
+        assert EnsembleParams(**payload["params"]) == cfg.params
+        assert (payload["seed"], payload["stream"]) == (5, 3)
+        assert np.array_equal(payload["u"], cfg.u)

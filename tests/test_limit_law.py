@@ -78,6 +78,11 @@ class TestMoments:
         law = LimitLaw(CANON, proc.phi_one())
         assert np.array_equal(law.moments([0.0]), [[0.0], [0.0]])
 
+    def test_long_finite_gap(self):
+        # one rule on [1, 1e6] saw none of the mass near 1 and missed 0.047 of m1
+        law = LimitLaw(EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500), proc.phi_exp_decay(1.0))
+        assert law.moments([1.0, 1e6])[0, 1] == pytest.approx(law.m1(math.inf), abs=1e-10)
+
     def test_dual_quadrature_exp_decay(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(1.0))
         # independent oracle: high-order fixed Gauss-Legendre on [0, T] plus
@@ -162,6 +167,12 @@ class TestCovariance:
     def test_diagonal_nonnegative(self):
         law = LimitLaw(CANON, proc.phi_exp_decay(1.0))
         assert np.all(np.diag(law.gram_statistic([0.25, 1.0, 4.0, 16.0])) >= -1e-12)
+
+    def test_long_finite_gap(self):
+        # the rate table on (1, 1e12] was off by 0.15 from t = +inf
+        law = LimitLaw(EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500), proc.phi_one())
+        assert law.gram_statistic([1.0, 1e12]) == pytest.approx(
+            law.gram_statistic([1.0, math.inf]), rel=0.0, abs=1e-12)
 
     def test_gram_psd_and_cauchy_schwarz(self):
         law = LimitLaw(CANON, proc.phi_one())

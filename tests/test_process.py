@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincinv, gammaln
 
 from hardedge import ensemble as ens
 from hardedge import process as proc
 from hardedge.ensemble import EnsembleParams, RadialConfiguration
 from hardedge.process import StepProcess, build_statistic, mean_exact
 from hardedge.process import TestFunction as PhiFunction
+from hardedge.special_functions import log_reg_lower_gamma
 
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
 
@@ -38,6 +39,20 @@ def tail_cutoff_oracle(params: EnsembleParams, eps: float) -> float:
     s1 = (1.0 + params.alpha) / params.b
     y = gammaincinv(s1, eps * gammainc(s1, params.c))
     return (math.log(params.c) - math.log(y)) / params.beta
+
+
+def exp_decay_mean_oracle(params: EnsembleParams, lam: float, t: float) -> float:
+    """E S(t) for phi = exp_decay(lam) with no quadrature.  X = c e^{-beta U}
+    is Gamma(s_j) truncated at c, so with q = lam/beta, E e^{-lam U_j} 1[U_j
+    <= t] = c^-q Gamma(s_j + q)/Gamma(s_j) [P(s_j + q, c) - P(s_j + q, c
+    e^{-beta t})]/P(s_j, c), in log space (linear P underflows at high j)."""
+    s, c = params.shapes(), params.c
+    q = lam / params.beta
+    log_p = log_reg_lower_gamma(s + q, c)
+    log_p_t = log_reg_lower_gamma(s + q, c * math.exp(-params.beta * t))
+    log_terms = (gammaln(s + q) - gammaln(s) - q * math.log(c) + log_p
+                 + np.log1p(-np.exp(log_p_t - log_p)) - log_reg_lower_gamma(s, c))
+    return float(np.mean(np.exp(log_terms)))
 
 
 # t = inf sets: n = 50, alpha -> -1 (s_1 = 0.001), and the sets the sampler tests spread over
@@ -222,6 +237,28 @@ class TestMeanExact:
             warnings.simplefilter("error")
             assert proc._tail_cutoff(params, 1e-14) == pytest.approx(72532.85, abs=0.01)
 
+    @pytest.mark.parametrize("n", [500, 5000])
+    @pytest.mark.parametrize("t", [2.0, 1e4, math.inf])
+    def test_exp_decay_against_closed_form(self, n, t):
+        # at t = inf one rule on [0, T] (T = 13 899 at n = 500) put every node
+        # where the integrand underflows, and 9.1e-15 was accepted for 0.2330
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=n)
+        assert mean_exact(p, proc.phi_exp_decay(1.0), t) == pytest.approx(
+            exp_decay_mean_oracle(p, 1.0, t), rel=1e-11, abs=0.0)
+
+    def test_grid_matches_points(self):
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=300)
+        grid = np.array([math.inf, 2.0, 0.0, 0.5, 2.0])
+        got = mean_exact(p, proc.phi_rational(), grid)
+        assert got.shape == grid.shape
+        assert got[2] == 0.0 and got[1] == got[4]
+        for g, t in zip(got, grid):
+            assert g == pytest.approx(mean_exact(p, proc.phi_rational(), t), rel=1e-12, abs=0.0)
+        assert mean_exact(p, proc.phi_one(), np.array([])).shape == (0,)
+        for bad in (-1.0, math.nan, [[1.0]]):
+            with pytest.raises(ValueError):
+                mean_exact(p, proc.phi_one(), bad)
+
     def test_counting_cross_check(self):
         # two independent computation paths: per-particle quadrature vs CDF sum
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
@@ -258,12 +295,12 @@ class TestMeanExact:
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
-        # one Gauss-Kronrod rule over the whole truncated half-line, never
-        # subdivided: its error estimate is far above the tolerance
+        # one Gauss-Kronrod rule on [0, 3.9], never subdivided (the gap is too
+        # short for a knot): its error estimate is above the tolerance
         monkeypatch.setitem(proc._MEAN_QUAD, "limit", 1)
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
-        with pytest.raises(ArithmeticError):
-            mean_exact(p, proc.phi_one(), math.inf)
+        with pytest.raises(ArithmeticError, match="quadrature error estimate"):
+            mean_exact(p, proc.phi_rational(), 3.9)
 
     def test_against_monte_carlo(self):
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
@@ -281,13 +318,3 @@ class TestMeanExact:
         s_vals = np.mean(np.exp(-batch), axis=1)
         se = float(np.std(s_vals, ddof=1)) / math.sqrt(reps)
         assert abs(float(np.mean(s_vals)) - mean_exact(p, phi, math.inf)) < 5 * se
-
-
-class TestExport:
-    def test_csv_pairs(self):
-        sp = StepProcess(locations=np.array([1.0, 2.5]), increments=np.array([0.5, 0.25]),
-                         nondecreasing=True)
-        lines = sp.to_csv().strip().splitlines()
-        assert lines[0] == "location,value"
-        assert lines[1] == "1.0,0.5"
-        assert lines[2] == "2.5,0.75"

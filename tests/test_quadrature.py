@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import hardedge
-from hardedge.quadrature import integrate
+from hardedge.quadrature import cumulative, integrate
 
 OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -177,6 +177,39 @@ class TestBatch:
                           limit=3)
             assert integrate(np.sqrt, [1.0], [2.0], "sqrt", epsabs=1e-13, epsrel=0.0,
                              limit=3) == pytest.approx([(2.0 ** 1.5 - 1.0) / 1.5], rel=1e-14)
+
+
+class TestCumulative:
+    """int_0^t at many t from one batched pass over the gaps."""
+
+    def test_narrow_integrand_on_a_long_gap(self):
+        # one rule on [0, 13 899] has its lowest node at 30, where this peak
+        # has underflowed: without the knots it reads as about 0
+        def peak(x):
+            return np.exp(-((x - 10.0) ** 2))
+
+        t = np.array([13899.0, 5.0, math.inf, 0.0, 5.0])
+        half = 0.5 * math.sqrt(math.pi)
+        ref = [half * (math.erf(v - 10.0) + math.erf(10.0)) for v in (13899.0, 5.0)]
+        assert cumulative(peak, t, "peak", **OPTS) == pytest.approx(
+            [ref[0], ref[1], ref[0], 0.0, ref[1]], rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("points, gaps", [
+        ([0.1, 0.3, 1.0, 3.0, 10.0], 5),  # a logspace grid: within a factor 4
+        ([4.0], 1),
+        ([4.5], 4),                        # (0, 4.5] takes the knots 1, 2, 4
+        ([2.0, math.inf], 2),
+        ([1.0, 1e6], 21),                  # (1, 1e6] takes the knots 2, ..., 2^19
+    ])
+    def test_knots_split_only_wide_gaps(self, points, gaps):
+        f = Counted(lambda x: np.exp(-x))
+        cumulative(f, points, "exp", **OPTS)
+        assert len(f.calls[0]) == 21 * gaps
+
+    def test_invalid_points(self):
+        for points in ([-0.1], [math.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                cumulative(np.exp, points, "exp", **OPTS)
 
 
 def test_import_leaves_out_scipy_integrate_and_optimize():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hardedge import ensemble as ens
+from hardedge import process as proc
+from hardedge import quadrature
 from hardedge import verify
 from hardedge.ensemble import EnsembleParams, sample_configuration
 from hardedge.process import build_statistic
@@ -141,6 +143,24 @@ class TestCltCampaign:
                                grid=(0.5, 1.0, 2.0), replicates=800, seed=3)
         report = run_clt(cfg)
         assert report.passed, report.failures()
+
+    def test_exact_centering_is_one_pass_per_block(self, monkeypatch):
+        # a count-based guard, not a timing: E S on the whole grid comes from
+        # one cumulative pass per interleaved block of particles, not one
+        # quadrature per grid point
+        passes = []
+        integrate = quadrature.integrate
+
+        def counted(f, a, b, what, **opts):
+            passes.append(what)
+            return integrate(f, a, b, what, **opts)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        monkeypatch.setattr(proc, "_MEAN_BLOCK", 64)  # 4 blocks at n = 200
+        cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 200),
+                               grid=(0.5, 1.0, 2.0, 4.0), replicates=20, seed=1)
+        run_clt(cfg)
+        assert passes.count("mean_exact") == 4
 
     def test_empirical_centering_flag(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=50,
