@@ -32,10 +32,10 @@ positive series and the exact distance in closed form, at the one point where
 the two densities cross (the test suite checks it against quadrature).
 
 Reproducibility: configuration r (its stream) reads its first round and a
-reservoir of retry uniforms from its own counter range of the Philox stream
-keyed by (seed, 0), so consecutive streams are one generator call, and
-refills from its own substream; each retry round gives every rejected
-particle two candidates and keeps the first accepted (details in
+reservoir of retry uniforms from its own range of draws of the PCG64 stream
+seeded by ``seed``, so consecutive streams are one generator call, and
+refills from its own spawned streams; retry round i gives every rejected
+particle min(2^i, 32) candidates and keeps the first accepted (details in
 ``_sample``).  A configuration is therefore bit-identical for a fixed (seed,
 stream) no matter how sampling work is batched or scheduled.  Seeds and
 streams must be integers in [0, 2^64).
@@ -71,19 +71,21 @@ __all__ = [
 # Uniforms are clamped below at 2^-53 so no logarithm sees 0.
 _U_LO = 2.0**-53
 
-# Candidates per rejected entry and retry round, each from its own slot
-# (``_sample`` keeps the first of the two that is accepted).
-_CANDIDATES = 2
+# Retry round i (from 1) gives each rejected entry min(2^i, _MAX_CANDIDATES)
+# candidates, each from its own slot (``_sample`` keeps the first accepted).
+_MAX_CANDIDATES = 32
 # Each candidate is kept with probability above 0.355 (its class's
 # acceptance rate) times the Marsaglia-Tsang acceptance rate (> 0.95), so an
-# entry outlasts this many rounds with probability below 2^-236.
-_MAX_ROUNDS = 200
+# entry outlasts this many rounds (2 + 4 + ... + 32 + 11 x 32 = 414
+# candidates) with probability below 0.663^414 < 2^-245.
+_MAX_ROUNDS = 16
 # Retry slots per row, drawn with its first-round uniforms:
-# ceil(_RESERVOIR (sqrt(c) + 8)).  A row's retry demand is about 3.6 sqrt(c)
-# slots, for the rejections of the particles within O(sqrt(c)) of theta = 1
-# (at most 6.8 sqrt(c) over 2000 rows at c = 125); a row that needs more
-# draws a refill from its own substream.
-_RESERVOIR = 3.0
+# ceil(_RESERVOIR (sqrt(c) + 8)).  With doubling candidates a row's retry
+# demand averages 3.9 sqrt(c) slots (at most 7.9 sqrt(c) over 2048 rows at
+# c = 125, 4.5 sqrt(c) over 16 at c = 25 000), and a 128-row block at c = 125
+# draws 0.44 refills (11.9 at _RESERVOIR = 3.0); a row that needs more draws
+# a refill from its own spawned stream.
+_RESERVOIR = 4.0
 
 # Newton on the TV crossing point converges quadratically once above the
 # root, to within rounding (a few 1e-16 in y); more steps than this means a bug.
@@ -241,40 +243,81 @@ def _classes(params: EnsembleParams, js):
     return np.flatnonzero(e), np.flatnonzero(~e)
 
 
-def _exp_proposal(params: EnsembleParams, rate, prop, accept):
-    """U = -ln(prop)/rate, kept when ln(accept) <= ln w(U) = -c (e^{-beta U} - 1 + beta U)."""
-    u = np.log(prop)
-    u /= -rate
-    bu = params.beta * u
-    log_w = np.expm1(-bu)
-    log_w += bu
-    log_w *= -params.c
-    return u, np.log(accept) <= log_w
+class _Workspace:
+    """Memory that ``_sample`` reuses from call to call: a float buffer for
+    the first-round draws and the proposal scratch, and a bool buffer for the
+    verdicts, each grown when a call needs more.  One per thread."""
+
+    def __init__(self):
+        self.floats = np.empty(0)
+        self.flags = np.empty(0, dtype=bool)
+
+    def carve(self, floats: int, flags: int):
+        """The first ``floats`` floats and ``flags`` bools, contents undefined."""
+        if len(self.floats) < floats:
+            self.floats = np.empty(floats)
+        if len(self.flags) < flags:
+            self.flags = np.empty(flags, dtype=bool)
+        return self.floats[:floats], self.flags[:flags]
 
 
-def _gamma_proposal(params: EnsembleParams, shapes, z, accept, v):
-    """Marsaglia-Tsang Gamma(d, 1) proposal X = c R, kept when R <= 1.
+def _exp_proposal(params: EnsembleParams, rate, prop, accept, y, ok):
+    """Exponential proposals in place: ``prop`` becomes U = -ln(prop)/rate,
+    and ``ok`` tells whether ln(accept) <= ln w(U) = -c (expm1(-y) + y) with
+    y = beta U, tested as ln(accept)/(-c) - y >= expm1(-y).  ``accept`` and
+    the scratch ``y`` are overwritten."""
+    np.log(prop, out=prop)
+    prop /= -rate
+    np.multiply(prop, params.beta, out=y)
+    np.log(accept, out=accept)
+    accept /= -params.c
+    accept -= y
+    np.negative(y, out=y)
+    np.expm1(y, out=y)
+    np.greater_equal(accept, y, out=ok)
+
+
+def _gamma_proposal(params: EnsembleParams, shapes, z, accept, v, tmp, mt, ok):
+    """Marsaglia-Tsang Gamma(d, 1) proposals X = c R in place, kept when R <= 1.
 
     d = s, except where s < 1: there d = s + 1 and ln X = ln Y + ln(V)/s with
     Y ~ Gamma(s + 1, 1) and the uniforms ``v`` (one per s < 1 entry, in
     order), so X = Y V^{1/s} cannot underflow to 0.  The normal is ndtri(z);
     with a = d - 1/3 and t = 1 + normal/sqrt(9a), Y = a t^3 is kept when
-    t > 0 and ln(accept) < normal^2/2 + a (1 - t^3 + 3 ln t).  Returns
-    U = -(n kappa / b) ln(X/c), the Marsaglia-Tsang verdict, and that verdict
-    and ln X <= ln c together.
+    t > 0 and ln(accept) - normal^2/2 < a (1 - t^3 + 3 ln t).  ``z`` becomes
+    U = -(n kappa / b) ln(X/c), ``mt`` the Marsaglia-Tsang verdict and ``ok``
+    that verdict and ln X <= ln c together.  ``accept`` and the scratch pair
+    ``tmp`` are overwritten.
     """
     small = shapes < 1.0
     a = np.where(small, shapes + 1.0, shapes) - 1.0 / 3.0
-    x = ndtri(z)
-    t = x / np.sqrt(9.0 * a)
+    t, log_t = tmp
+    x = ndtri(z, out=z)
+    np.divide(x, np.sqrt(9.0 * a), out=t)
     t += 1.0
-    log_t = np.log(t, out=np.full(t.shape, -np.inf), where=t > 0.0)
-    log_x = np.log(a) + 3.0 * log_t
+    # ln t where t > 0; the -inf elsewhere also hides whatever the scratch held
+    log_t.fill(-np.inf)
+    np.log(t, out=log_t, where=np.greater(t, 0.0, out=ok))
+    np.log(accept, out=accept)
+    np.square(x, out=x)
+    x *= 0.5
+    accept -= x
+    np.multiply(t, t, out=x)
+    x *= t
+    np.multiply(log_t, 3.0, out=t)
+    np.subtract(1.0, x, out=x)
+    x += t
+    x *= a
+    np.less(accept, x, out=mt)
+    log_x = t
+    log_x += np.log(a)
     if np.any(small):
         log_x[..., small] += np.log(v) / shapes[small]
-    mt = np.log(accept) < 0.5 * x * x + a * (1.0 - t * t * t + 3.0 * log_t)
     log_c = math.log(params.c)
-    return -params.u_scale * (log_x - log_c), mt, mt & (log_x <= log_c)
+    np.less_equal(log_x, log_c, out=ok)
+    ok &= mt
+    np.subtract(log_x, log_c, out=z)
+    z *= -params.u_scale
 
 
 def _keys(seed, streams):
@@ -291,35 +334,38 @@ def _keys(seed, streams):
     return check("seed", seed), [check("stream", s) for s in streams]
 
 
-def _uniforms(seed: int, counter: int, out: np.ndarray):
-    """Fill ``out`` with uniforms from the Philox stream keyed (seed, 0), four
-    per counter block, from the blocks after the 256-bit ``counter``."""
-    np.random.Generator(np.random.Philox(counter=counter, key=seed)).random(out=out)
+def _uniforms(entropy, offset: int, out: np.ndarray):
+    """Fill ``out`` with uniforms, one 64-bit draw each, from the PCG64 stream
+    seeded by ``entropy`` (an int or a SeedSequence), from draw ``offset`` on."""
+    bits = np.random.PCG64(entropy)
+    bits.advance(offset)
+    np.random.Generator(bits).random(out=out)
 
 
-def _sample(params: EnsembleParams, js, seed: int, streams):
+def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
     """U over the particles ``js`` (columns, ascending, repeats allowed), one
     row per stream, and three first-round counts: exponential rejections,
     gamma truncation rejections among Marsaglia-Tsang acceptances, and those
     acceptances per gamma column.
 
-    Every row reads the Philox stream keyed (seed, 0).  Its first draw is one
-    uniform per column (exponential proposals, gamma normals), one acceptance
-    uniform per exponential column, one per gamma column, one uniform per gamma
-    column of shape s < 1, then a reservoir of retry slots, three uniforms
-    each, padded to B counter blocks of four uniforms: the row of stream r
-    reads the blocks after counter r B up to (r + 1) B, so a run of
-    consecutive streams is one generator call.  Every retry round runs over
-    the whole block: each rejected entry takes its row's next _CANDIDATES
-    unused slots (gamma-class entries first, then exponential ones, each in
-    column order) and draws one candidate from each (proposal or normal,
-    acceptance uniform and, where s < 1, V); it keeps the first candidate
-    accepted, which has the law of sequential rejection.  A row with fewer
-    unused slots than its entries need drops them and draws max(slots, need)
-    fresh ones: refill k of stream r reads the blocks after counter
-    (0, 0, r, k), as 64-bit words from the lowest.  A row therefore depends
-    only on (params, js, seed, its stream).  ln P(s, c) is evaluated only on
-    the class-edge bracket.
+    U is a view of ``workspace`` (a fresh one if None), or of a larger copy
+    when refills outgrow it, valid until the workspace's next use.  Every row reads the PCG64 stream seeded by ``seed``.  Its B draws
+    are one uniform per column (exponential proposals, gamma normals), one
+    acceptance uniform per exponential column, one per gamma column, one
+    uniform per gamma column of shape s < 1, then a reservoir of retry slots,
+    three uniforms each: the row of stream r reads draws [r B, (r + 1) B), so
+    a run of consecutive streams is one generator call.  The proposals
+    overwrite the first m draws of each row with U.  Every retry round runs
+    over the whole block: in round i each rejected entry takes its row's next
+    K = min(2^i, _MAX_CANDIDATES) unused slots (gamma-class entries first,
+    then exponential ones, each in column order) and draws one candidate from
+    each (proposal or normal, acceptance uniform and, where s < 1, V); it
+    keeps the first candidate accepted, which has the law of sequential
+    rejection.  A row with fewer unused slots than its entries need drops them
+    and draws max(slots, need) fresh ones: refill k of stream r reads the
+    PCG64 stream seeded by SeedSequence(seed, spawn_key=(r, k)).  A row
+    therefore depends only on (params, js, seed, its stream).  ln P(s, c) is
+    evaluated only on the class-edge bracket.
     """
     shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
     m, k = len(shapes), len(_classes(params, js)[1])
@@ -329,75 +375,91 @@ def _sample(params: EnsembleParams, js, seed: int, streams):
     shape_g = shapes[gam]
     width = 2 * m + int(np.count_nonzero(shape_g < 1.0))
     slots = math.ceil(_RESERVOIR * (math.sqrt(params.c) + 8.0))
-    blocks = -(-(width + 3 * slots) // 4)
+    row = width + 3 * slots
     seed, streams = _keys(seed, streams)
     rows = len(streams)
-    first = np.empty((rows, 4 * blocks))
+    ws = _Workspace() if workspace is None else workspace
+    # the rows' draws, then scratch for the first-round proposals, which
+    # refills reuse; verdicts: exponential, then Marsaglia-Tsang and gamma
+    store, flags = ws.carve(rows * (row + max(me, 2 * k)), rows * (me + 2 * k))
+    first = store[:rows * row].reshape(rows, row)
     runs = [i for i in range(1, rows) if streams[i] != streams[i - 1] + 1]
     for i0, i1 in zip([0, *runs], [*runs, rows]):
-        _uniforms(seed, streams[i0] * blocks, first[i0:i1].reshape(-1))
+        _uniforms(seed, streams[i0] * row, first[i0:i1].reshape(-1))
     head = first[:, :width]
     np.maximum(head, _U_LO, out=head)
 
-    rate = np.zeros(m)
-    rate[exp] = params.beta * (shapes[exp] - params.c)
-    u = np.empty((rows, m))
-    u[:, exp], ok_e = _exp_proposal(params, rate[exp], first[:, exp], first[:, m:m + me])
-    u[:, gam], mt, ok_g = _gamma_proposal(params, shape_g, first[:, gam],
-                                          first[:, m + me:2 * m], first[:, 2 * m:width])
-    counts = (int(ok_e.size - np.count_nonzero(ok_e)), int(np.count_nonzero(mt & ~ok_g)),
-              np.count_nonzero(mt, axis=0))
+    rate = params.beta * (shapes - params.c)
+    scratch = store[rows * row:]
+    ok_e = flags[:rows * me].reshape(rows, me)
+    mt, ok_g = flags[rows * me:].reshape(2, rows, k)
+    _exp_proposal(params, rate[exp], first[:, exp], first[:, m:m + me],
+                  scratch[:rows * me].reshape(rows, me), ok_e)
+    _gamma_proposal(params, shape_g, first[:, gam], first[:, m + me:2 * m],
+                    first[:, 2 * m:width], scratch[:2 * rows * k].reshape(2, rows, k), mt, ok_g)
+    tried = np.count_nonzero(mt, axis=0)
+    counts = (int(ok_e.size - np.count_nonzero(ok_e)),
+              int(tried.sum() - np.count_nonzero(ok_g)), tried)
 
     def propose_gamma(cols, uni):
         s = shapes[cols]
-        x, _, ok = _gamma_proposal(params, s, uni[..., 0], uni[..., 1], uni[:, s < 1.0, 2])
-        return x, ok
+        ok = np.empty(uni[0].shape, dtype=bool)
+        _gamma_proposal(params, s, uni[0], uni[1], uni[2][:, s < 1.0], np.empty((2, *ok.shape)),
+                        np.empty_like(ok), ok)
+        return ok
 
     def propose_exp(cols, uni):
-        return _exp_proposal(params, rate[cols], uni[..., 0], uni[..., 1])
+        ok = np.empty(uni[0].shape, dtype=bool)
+        _exp_proposal(params, rate[cols], uni[0], uni[1], np.empty(ok.shape), ok)
+        return ok
 
     # rejected entries (rows, columns) of each class, sorted by row then column
     pending = []
     for start, ok in ((0, ok_g), (k, ok_e)):
-        r, i = np.nonzero(~ok)
+        r, i = np.nonzero(np.logical_not(ok, out=ok))
         pending.append((r, start + i))
-    res = first[:, width:width + 3 * slots].reshape(rows * slots, 3)
-    cursor = np.arange(rows) * slots    # each row's next unused slot in res
+    # slots are addressed by the offset of their first uniform in ``store``;
+    # refills go after the rows' draws, over the dead scratch
+    cursor = np.arange(rows) * row + width    # each row's next unused slot
     free = np.full(rows, slots)
+    top = rows * row
     refills = [0] * rows
-    tries = np.arange(_CANDIDATES)[:, None]
     rounds = 0
     while any(len(r) for r, _ in pending):
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise ArithmeticError(f"rejection sampler still rejecting after {_MAX_ROUNDS} "
                                   "retry rounds; this is a bug")
-        take = [_CANDIDATES * np.bincount(r, minlength=rows) for r, _ in pending]
+        K = min(2**rounds, _MAX_CANDIDATES)
+        take = [K * np.bincount(r, minlength=rows) for r, _ in pending]
         need = take[0] + take[1]
-        fresh, top = [], len(res)
         for r in np.flatnonzero(need > free).tolist():
             refills[r] += 1
-            fresh.append(np.empty((max(slots, int(need[r])), 3)))
-            _uniforms(seed, (streams[r] << 128) | (refills[r] << 192), fresh[-1].reshape(-1))
-            cursor[r], free[r] = top, len(fresh[-1])
-            top += len(fresh[-1])
-        if fresh:
-            res = np.concatenate([res, *fresh])
+            size = 3 * max(slots, int(need[r]))
+            if top + size > len(store):
+                store = np.concatenate((store[:top], np.empty(max(size, top))))
+            _uniforms(np.random.SeedSequence(seed, spawn_key=(streams[r], refills[r])), 0,
+                      store[top:top + size])
+            cursor[r], free[r] = top, size // 3
+            top += size
         free -= need
         for cls, propose in enumerate((propose_gamma, propose_exp)):
             p_rows, p_cols = pending[cls]
             if not len(p_rows):
                 continue
-            # entry i of its class in a row takes the row's next _CANDIDATES slots
-            pos = (cursor + take[cls] - np.cumsum(take[cls]))[p_rows]
-            pos += _CANDIDATES * np.arange(len(p_rows))
-            cursor += take[cls]
-            val, ok = propose(p_cols, np.maximum(res[pos + tries], _U_LO))
+            # entry i of its class in a row takes the row's next K slots
+            pos = cursor[p_rows] + 3 * (K * np.arange(len(p_rows))
+                                        - (np.cumsum(take[cls]) - take[cls])[p_rows])
+            cursor += 3 * take[cls]
+            uni = store[pos + 3 * np.arange(K)[:, None] + np.arange(3)[:, None, None]]
+            np.maximum(uni, _U_LO, out=uni)
+            ok = propose(p_cols, uni)
             # keep the first accepted candidate, as sequential rejection does
-            kept, done = np.where(ok[0], val[0], val[1]), ok[0] | ok[1]
-            u[p_rows[done], p_cols[done]] = kept[done]
+            done = ok.any(axis=0)
+            kept = uni[0][ok.argmax(axis=0)[done], np.flatnonzero(done)]
+            store[p_rows[done] * row + p_cols[done]] = kept
             pending[cls] = p_rows[~done], p_cols[~done]
-    return u, counts
+    return store[:rows * row].reshape(rows, row)[:, :m], counts
 
 
 def sample_configuration(params: EnsembleParams, seed: int, stream: int = 0) -> RadialConfiguration:
@@ -413,7 +475,7 @@ def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
     bit; batching only amortizes the per-parameter constants and the
     arithmetic across rows.
     """
-    return _sample(params, np.arange(1, params.n + 1), seed, streams)[0]
+    return _sample(params, np.arange(1, params.n + 1), seed, streams)[0].copy()
 
 
 def cdf_u(params: EnsembleParams, j, t):

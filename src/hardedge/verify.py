@@ -12,11 +12,13 @@ none of 100 at M = 5000.  The standard errors come from sample moments, so
 small-M campaigns are smoke tests, not verdicts.
 
 Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
-counter range of the Philox stream keyed by the master seed.  Replicates are
-processed in blocks of at most 128 rows and 2^20 particles (one row at
-least), results are written into preallocated arrays indexed by replicate,
-and all reductions run after assembly, so a report is byte-identical for a
-fixed seed regardless of the worker count or the block size.
+range of draws of the PCG64 stream seeded by the master seed.  Replicates
+are processed in blocks of at most 128 rows and 2^20 particles (one row at
+least), each worker thread sampling into one workspace that it reuses from
+block to block; results are written into preallocated arrays indexed by
+replicate, and all reductions run after assembly, so a report is
+byte-identical for a fixed seed regardless of the worker count or the block
+size.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import functools
 import io
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -332,9 +335,14 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
     S = np.empty((M, G))
     S_inf = np.empty(M)
     Q = np.empty((M, len(levels)))
+    js = np.arange(1, n + 1)
+    # one sampler workspace per worker thread, reused by its blocks
+    spaces = threading.local()
 
     def block(i0: int, i1: int):
-        u = ens.sample_batch(params, config.seed, range(i0, i1))
+        if not hasattr(spaces, "ws"):
+            spaces.ws = ens._Workspace()
+        u = ens._sample(params, js, config.seed, range(i0, i1), spaces.ws)[0]
         if len(levels):
             u.sort(axis=1)
         w = np.asarray(phi(u), dtype=float) / n
@@ -583,8 +591,10 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     if len(levels) == 0:
         raise ValueError("hitting campaign needs a nonempty level grid")
     L = law.mass_limit
-    if np.any(levels >= L):
-        raise ValueError(f"levels must lie strictly below the limiting mass L = {L:.6g}")
+    if np.any(levels >= L) or not np.all(levels > 0.0):
+        # at h = 0 the limit variance is 0 but Q, the smallest particle, varies:
+        # that gate's z would depend on M alone
+        raise ValueError(f"levels must lie strictly between 0 and the limiting mass L = {L:.6g}")
     cross_times = np.asarray(config.cross_times, dtype=float)
     M = config.replicates
 

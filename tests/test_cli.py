@@ -221,6 +221,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "lemma_replicates must be >= 1" in capsys.readouterr().err
 
+    def test_zero_hitting_level_exits_2(self, tmp_path, capsys):
+        # this command passed with max |z| = 5.000 at 50 replicates and failed
+        # with 10.000 at 200: the z at h = 0 was sqrt(M / 2)
+        code = main([
+            "verify", "--campaign", "hitting", "--n", "100", "--levels", "0,0.1",
+            "--replicates", "50", "--lemma-replicates", "10",
+            "--out", str(tmp_path / "h.json"),
+        ])
+        assert code == 2
+        assert "strictly between 0" in capsys.readouterr().err
+        # tau(0) = 0 is still a valid entry of the limit table
+        assert main(["limit", "--n", "100", "--grid", "1", "--levels", "0,0.1",
+                     "--out", str(tmp_path / "l.json")]) == 0
+
     def test_descending_n_ladder_exits_2(self, tmp_path, capsys):
         code = main([
             "verify", "--campaign", "tv_decay", "--n", "1000", "--n-ladder", "logspace:3:2:2",

@@ -266,13 +266,13 @@ class TestRejectionSampler:
 
     @staticmethod
     def _record_draws(monkeypatch):
-        """(counter, uniforms) of every generator draw call the sampler makes."""
+        """(entropy, draw offset, uniforms) of every generator call the sampler makes."""
         calls = []
         inner = ens._uniforms
 
-        def recording(seed, counter, out):
-            calls.append((counter, out.size))
-            inner(seed, counter, out)
+        def recording(entropy, offset, out):
+            calls.append((entropy, offset, out.size))
+            inner(entropy, offset, out)
 
         monkeypatch.setattr(ens, "_uniforms", recording)
         return calls
@@ -280,13 +280,23 @@ class TestRejectionSampler:
     @staticmethod
     def _refills(calls):
         """(stream, refill) of the refill draws among ``calls``: refill k of
-        stream r reads from counter (0, 0, r, k)."""
-        return [((c >> 128) % 2**64, c >> 192) for c, _ in calls if c >> 192]
+        stream r is seeded by SeedSequence(seed, spawn_key=(r, k)), from draw 0."""
+        out = []
+        for entropy, offset, _ in calls:
+            if isinstance(entropy, np.random.SeedSequence):
+                assert offset == 0
+                out.append(entropy.spawn_key)
+        return out
+
+    @staticmethod
+    def _first_draws(calls):
+        """(seed, draw offset, uniforms) of the first-round draws among ``calls``."""
+        return [c for c in calls if not isinstance(c[0], np.random.SeedSequence)]
 
     @pytest.mark.parametrize("reservoir", [0.0, 1.0])
     def test_refilled_rows_independent_of_block_split(self, monkeypatch, reservoir):
         # a reservoir of 0 or ceil(sqrt(c) + 8) slots makes rows refill from
-        # their own substreams; rows stay what they are alone, in any order
+        # their own spawned streams; rows stay what they are alone, in any order
         monkeypatch.setattr(ens, "_RESERVOIR", reservoir)
         calls = self._record_draws(monkeypatch)
         streams = list(range(24))
@@ -315,9 +325,10 @@ class TestRejectionSampler:
             monkeypatch.setattr(ens, name, counting)
         ndraw = 100_000
         draws = _particle_draws(CANON, 28, 7, ndraw)
-        # the first round calls both proposals; each retry round, one
+        # the first round calls both proposals; each retry round, one: with
+        # 2, 4, 8 and 16 candidates for about 49 000, 12 000, 700 and 2 entries
         rounds = len(proposals) - 2
-        assert rounds >= 5
+        assert rounds >= 4
         # every call after the first draw is a refill of stream 28, numbered
         # 1, 2, ..., in every retry round, bar the last when leftovers suffice
         assert self._refills(calls) == [(28, k) for k in range(1, len(calls))]
@@ -337,7 +348,7 @@ class TestRejectionSampler:
     @pytest.mark.parametrize("reservoir", [ens._RESERVOIR, 0.0])
     def test_one_draw_call_per_run_and_refill(self, monkeypatch, reservoir):
         # the first draws of a run of consecutive streams are one generator
-        # call, and every retry round runs over the block, so generator calls
+        # call, from draw run[0] B of the seed's stream, and every retry round runs over the block, so generator calls
         # are runs plus refills (none at the default reservoir) however many
         # rounds run
         monkeypatch.setattr(ens, "_RESERVOIR", reservoir)
@@ -353,9 +364,9 @@ class TestRejectionSampler:
         runs = [range(40), range(50, 74), range(45, 46)]
         ens.sample_batch(CANON, 3, [s for run in runs for s in run])
         assert len(rounds) - 1 >= 3
-        first = [(c, size) for c, size in calls if not c >> 192]
-        row = first[-1][1]
-        assert first == [(run[0] * row // 4, len(run) * row) for run in runs]
+        first = self._first_draws(calls)
+        row = first[-1][2]
+        assert first == [(3, run[0] * row, len(run) * row) for run in runs]
         refills = {}
         for s, refill in self._refills(calls):
             refills.setdefault(s, []).append(refill)
@@ -366,21 +377,91 @@ class TestRejectionSampler:
             assert len(calls) == len(runs)
 
     def test_first_draws_carry_across_counter_words(self, monkeypatch):
-        # row r reads counter blocks [r B, (r + 1) B); around s = 2^64 / B the
-        # block counter carries from its low 64-bit word into the next
+        # row r reads draws [r B, (r + 1) B) of the seed's stream; for the
+        # last streams below 2^64 that offset needs more than one 64-bit word
         calls = self._record_draws(monkeypatch)
-        ens.sample_batch(CANON, 6, [0])
-        s = 2**64 // (calls[0][1] // 4) + 1
-        batch = ens.sample_batch(CANON, 6, range(s - 1, s + 2))
-        assert calls[-1][0] < 2**64 < calls[-1][0] + calls[-1][1] // 4
-        for i, stream in enumerate(range(s - 1, s + 2)):
+        streams = range(2**64 - 3, 2**64)
+        batch = ens.sample_batch(CANON, 6, streams)
+        (seed, offset, size), = self._first_draws(calls)
+        assert seed == 6 and offset == streams[0] * (size // 3) > 2**64
+        for i, stream in enumerate(streams):
             assert np.array_equal(ens.sample_configuration(CANON, 6, stream).u, batch[i])
 
     def test_two_candidate_rounds(self, monkeypatch):
-        # two candidates per entry and round at least halve the retry rounds:
-        # sample_batch(CANON, 3, range(64)) needed 9 with one candidate
+        # two or more candidates per entry and round at least halve the retry
+        # rounds: sample_batch(CANON, 3, range(64)) needed 9 with one candidate
         monkeypatch.setattr(ens, "_MAX_ROUNDS", 5)
         ens.sample_batch(CANON, 3, range(64))
+
+    def test_doubling_candidates(self, monkeypatch):
+        # retry round i gives every rejected entry min(2^i, _MAX_CANDIDATES)
+        # candidates: j = 27, the exponential class edge, rejects 61% of them
+        seen = []
+        inner = ens._exp_proposal
+
+        def recording(params, rate, prop, *rest):
+            seen.append(prop.shape[0])
+            inner(params, rate, prop, *rest)
+
+        monkeypatch.setattr(ens, "_exp_proposal", recording)
+        for cap in (ens._MAX_CANDIDATES, 4):
+            monkeypatch.setattr(ens, "_MAX_CANDIDATES", cap)
+            seen.clear()
+            draws = _particle_draws(CANON, 27, 3, 20_000)
+            candidates = seen[1:]
+            assert seen[0] == 1 and len(candidates) >= 4
+            assert candidates == [min(2**i, cap) for i in range(1, len(candidates) + 1)]
+            assert _ks_of_draws(CANON, 27, draws) < 1.63 / math.sqrt(len(draws))
+
+    def test_workspace_reuse_is_bit_identical(self):
+        # a workspace full of NaN, then reused for a smaller last block, where
+        # its scratch holds the first block's values, and for a larger n,
+        # where it grows: every result equals that of a call with no
+        # workspace.  j = 1 (a = 2/3) repeated 300 times: about 80 of its
+        # proposals per block have t <= 0, hence no ln t
+        ws = ens._Workspace()
+        js = np.concatenate([np.full(300, 1), np.arange(2, CANON.n + 1)])
+        ens._sample(CANON, js, 5, range(40), ws)
+        ws.floats.fill(np.nan)
+        ws.flags.fill(True)
+        sizes = []
+        for p, cols, streams in ((CANON, js, range(40)), (CANON, js, range(40, 79)),
+                                 (SPREAD[2], np.arange(1, SPREAD[2].n + 1), range(40))):
+            got_u, got_counts = ens._sample(p, cols, 5, streams, ws)
+            want_u, want_counts = ens._sample(p, cols, 5, streams)
+            assert np.array_equal(got_u, want_u)
+            assert got_counts[:2] == want_counts[:2]
+            assert np.array_equal(got_counts[2], want_counts[2])
+            sizes.append(len(ws.floats))
+        assert sizes[0] == sizes[1] < sizes[2]
+
+    def test_gamma_proposal_ignores_stale_scratch(self):
+        # t = 1 + normal/sqrt(9a) <= 0 has no ln t: the proposal is rejected,
+        # with U = inf, whatever the scratch held before
+        shapes = np.array([1.0, 0.5])
+        for stale in (0.0, 5.0, np.nan):
+            z = np.array([[1e-12, 0.5]])    # normal -7.03: t = -1.87 in column 0
+            tmp = np.full((2, 1, 2), stale)
+            mt, ok = np.ones((2, 1, 2), dtype=bool)
+            ens._gamma_proposal(CANON, shapes, z, np.full((1, 2), 0.5), np.full((1, 1), 0.5),
+                                tmp, mt, ok)
+            assert not mt[0, 0] and not ok[0, 0] and z[0, 0] == np.inf
+            assert np.isfinite(z[0, 1])
+
+    def test_batch_owns_its_rows(self, monkeypatch):
+        # a view would pin the sampler's whole workspace
+        spaces = []
+
+        class Recording(ens._Workspace):
+            def __init__(self):
+                super().__init__()
+                spaces.append(self)
+
+        monkeypatch.setattr(ens, "_Workspace", Recording)
+        u = ens.sample_batch(CANON, 2, range(3))
+        one = ens.sample_configuration(CANON, 2, 1).u
+        assert u.flags.c_contiguous and u.flags.owndata and len(spaces) == 2
+        assert not any(np.shares_memory(x, w.floats) for x in (u, one) for w in spaces)
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(ens, "_MAX_ROUNDS", 0)

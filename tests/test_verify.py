@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,27 +87,30 @@ class TestStatisticReduction:
 
 
     def test_block_budget_keeps_report_bytes(self, monkeypatch):
-        # one block of 128 rows and one of 22 at the default budget; a budget
-        # of 600 particles gives blocks of 3 rows at n = 200 and one below n
-        # gives single rows, with the same report bytes
+        # one block of 128 rows and one of 23 at the default budget; a budget
+        # of 600 particles gives blocks of 3 rows and a last one of 1 at
+        # n = 200, and one below n gives single rows, with the same report
+        # bytes for one worker or three, each reusing its own sampler workspace
         p = EnsembleParams(0.0, 1.0, 0.5, 200)
         configs = [ExperimentConfig(kind="hitting", params=p, levels=(0.075, 0.225),
-                                    cross_times=(1.0,), replicates=150, seed=4,
+                                    cross_times=(1.0,), replicates=151, seed=4,
                                     lemma_replicates=40),
-                   ExperimentConfig(kind="clt", params=p, grid=(0.5, 2.0), replicates=150,
+                   ExperimentConfig(kind="clt", params=p, grid=(0.5, 2.0), replicates=151,
                                     seed=4)]
         want = [run_campaign(c).to_json() for c in configs]
-        inner = ens.sample_batch
+        inner = ens._sample
         for budget, rows in ((600, 3), (199, 1)):
             seen = []
 
-            def recording(params, seed, streams):
+            def recording(params, js, seed, streams, workspace=None):
                 seen.append(len(streams))
-                return inner(params, seed, streams)
+                return inner(params, js, seed, streams, workspace)
 
-            monkeypatch.setattr(ens, "sample_batch", recording)
+            monkeypatch.setattr(ens, "_sample", recording)
             monkeypatch.setattr(verify, "_BLOCK_PARTICLES", budget)
-            assert [run_campaign(c).to_json() for c in configs] == want
+            for workers in (1, 3):
+                assert [run_campaign(replace(c, workers=workers)).to_json()
+                        for c in configs] == want
             assert max(seen) == rows
 
     def test_no_spread_gives_no_z_score(self):
@@ -253,6 +257,15 @@ class TestHittingCampaign:
         cfg = ExperimentConfig(kind="hitting", params=SMALL, levels=(0.8,),
                                replicates=10, seed=0)
         with pytest.raises(ValueError):
+            run_hitting(cfg)
+
+    @pytest.mark.parametrize("levels", [(0.0, 0.1), (-0.1, 0.1)])
+    def test_levels_at_or_below_zero_rejected(self, levels):
+        # at h = 0 the limit variance is 0 while Q, the smallest particle,
+        # varies, so the gate's z was sqrt(M / 2) whatever the sampler did
+        cfg = ExperimentConfig(kind="hitting", params=SMALL, levels=levels,
+                               replicates=10, seed=0)
+        with pytest.raises(ValueError, match="strictly between 0"):
             run_hitting(cfg)
 
     def test_lemma_ladder_rows(self):
