@@ -71,19 +71,41 @@ class TestStatisticReduction:
         # weighting, so for phi != one S is summed in another order; for
         # phi = rational and exp_decay the upper levels lie above the total
         # mass, so Q = +inf is covered too
+        # the second grid adds sampled U values from both blocks as grid
+        # points, so u == t ties are binned as the path counts them (u <= t)
         p = EnsembleParams(0.0, 1.0, 0.5, 200)
         cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec.parse(kind),
                                replicates=150, seed=8)
         phi = cfg.phi.build()
         grid = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 30.0])
+        ties = np.concatenate([sample_configuration(p, cfg.seed, i).u[[3, 77, 150]]
+                               for i in (0, 140)])
         levels = np.array([0.05, 0.2, 0.4, 0.74])
-        out = _simulate_statistic(cfg, p, phi, grid,
-                                  **({"levels": levels} if with_levels else {}))
-        for i in range(cfg.replicates):
-            path = build_statistic(sample_configuration(p, cfg.seed, i), phi)
-            assert np.max(np.abs(out[0][i] - path.value(grid))) <= 1e-13
-            if with_levels:
-                assert np.array_equal(out[2][i], path.hitting_time(levels))
+        paths = [build_statistic(sample_configuration(p, cfg.seed, i), phi)
+                 for i in range(cfg.replicates)]
+        for g in (grid, np.unique(np.concatenate((grid, ties)))):
+            out = _simulate_statistic(cfg, p, phi, g,
+                                      **({"levels": levels} if with_levels else {}))
+            for i, path in enumerate(paths):
+                assert np.max(np.abs(out[0][i] - path.value(g))) <= 1e-13
+                if with_levels:
+                    assert np.array_equal(out[2][i], path.hitting_time(levels))
+
+    @pytest.mark.parametrize("G", [0, 1, 2, 3, 4, 7, 8, 9, 64])
+    def test_bins_match_searchsorted(self, G):
+        # on the strided workspace view that the block loop bins, with u at
+        # every grid point, at 0, and below and above the grid
+        p = EnsembleParams(0.0, 1.0, 0.5, 300)
+        u = ens._sample(p, np.arange(1, p.n + 1), 3, range(4), ens._Workspace())[0]
+        assert not u.flags.c_contiguous
+        grid = np.unique(u[:, :G])[:G] if G else np.empty(0)
+        assert len(grid) == G
+        u[0, :G] = grid
+        u[1, :5] = (0.0, 0.5 * np.min(u), np.max(u) + 1.0, 1e300, np.inf)
+        want = np.searchsorted(grid, u)
+        got = verify._bins(grid, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(verify._bins(grid, np.ascontiguousarray(u)), want)
 
 
     def test_block_budget_keeps_report_bytes(self, monkeypatch):
@@ -203,6 +225,31 @@ class TestEscapeCampaign:
         assert "escape_exact_strictly_decreasing" in names
         assert "total_mass_is_one" in names
         assert report.passed, report.failures()
+
+
+    @pytest.mark.parametrize("alpha,b,rho,n,delta,T", [
+        (0.0, 1.0, 0.5, 100_000, 0.2, 10.0),
+        (-0.9, 0.5, 0.5, 2000, 0.2, 10.0),
+        (0.5, 2.0, 0.5, 3000, 0.2, 5.0),
+        (0.0, 0.5, 0.7, 500, 0.1, 2.0),
+        (-0.9, 2.0, 0.6, 10_000, 0.3, 20.0),
+        (0.5, 1.0, 0.5, 1600, 0.05, 30.0),
+    ])
+    def test_max_cdf_is_last_escaping_index(self, alpha, b, rho, n, delta, T):
+        # cdf_u(j, T) is nondecreasing in j (U_j decreases in likelihood
+        # ratio), so the campaign reads its maximum over theta < 1 - delta at
+        # the last such index; below saturation (cdf within an ulp of 1),
+        # rounding only dents it among subnormals
+        p = EnsembleParams(alpha, b, rho, n)
+        js = np.flatnonzero(ens.theta(p, np.arange(1, n + 1)) < 1.0 - delta) + 1
+        cdf = ens.cdf_u(p, js, T)
+        assert np.max(cdf) == cdf[-1] > 0.0
+        dips = np.flatnonzero(np.diff(cdf) < 0.0)
+        assert np.all(cdf[dips] < np.finfo(float).tiny)
+        report = run_escape(ExperimentConfig(kind="escape", params=p, delta=delta, horizon=T,
+                                             replicates=2, seed=0))
+        row = [r for r in report.rows if r["record"] == "escape_exact_max_cdf"]
+        assert [r["estimate"] for r in row] == [float(np.max(cdf))]
 
 
 class TestTvCampaign:
