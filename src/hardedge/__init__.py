@@ -4,28 +4,16 @@ configuration, radius-dependent linear statistics and first-hitting times,
 closed-form evaluation of the limiting Gaussian laws, and Monte Carlo
 campaigns confirming the central limit behavior at desk scale."""
 
-from .ensemble import (
-    EnsembleParams,
-    RadialConfiguration,
-    cdf_u,
-    density_u,
-    exp_rate,
-    sample_batch,
-    sample_configuration,
-    theta,
-    tv_upper_bound,
-    weight_w,
-)
+from .ensemble import EnsembleParams, cdf_u, exp_rate, sample_batch, theta, tv_upper_bound
 from .limit_law import LimitLaw, omega1, omega2
 from .process import (
-    StepProcess,
     TestFunction,
-    build_statistic,
     mean_exact,
     phi_exp_decay,
     phi_from_table,
     phi_one,
     phi_rational,
+    statistic_paths,
 )
 from .special_functions import log_reg_lower_gamma
 from .verify import (

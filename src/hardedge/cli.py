@@ -119,34 +119,34 @@ def _params_from_args(args) -> EnsembleParams:
     return EnsembleParams(alpha=args.alpha, b=args.b, rho=args.rho, n=args.n)
 
 
+def _sample_csv(params: EnsembleParams, seed: int, stream: int, u) -> str:
+    p = params
+    lines = ["alpha,b,rho,n,seed,stream", f"{p.alpha!r},{p.b!r},{p.rho!r},{p.n},{seed},{stream}",
+             "u", *(repr(float(v)) for v in u)]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_sample(args) -> int:
+    """One configuration per replicate (stream i for replicate i): a CSV file
+    each, with a header of params, seed and stream, or one JSON document."""
     params = _params_from_args(args)
     if args.replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {args.replicates}")
-    configs = [
-        ens.RadialConfiguration(u=u, params=params, seed=int(args.seed), stream=i)
-        for i, u in enumerate(ens.sample_batch(params, args.seed, range(args.replicates)))
-    ]
+    rows = ens.sample_batch(params, args.seed, range(args.replicates))
     if args.format == "json":
-        if len(configs) == 1:
-            text = configs[0].to_json() + "\n"
+        us = [[float(v) for v in u] for u in rows]
+        payload = {"params": params.to_dict(), "seed": args.seed}
+        if len(us) == 1:
+            payload.update(stream=0, u=us[0])
         else:
-            payload = {
-                "params": params.to_dict(),
-                "seed": int(args.seed),
-                "configurations": [
-                    {"stream": c.stream, "u": [float(v) for v in c.u]} for c in configs
-                ],
-            }
-            text = json.dumps(payload, sort_keys=True) + "\n"
-        args.out.write_text(text)
+            payload["configurations"] = [{"stream": i, "u": u} for i, u in enumerate(us)]
+        args.out.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    elif len(rows) == 1:
+        args.out.write_text(_sample_csv(params, args.seed, 0, rows[0]))
     else:
-        if len(configs) == 1:
-            args.out.write_text(configs[0].to_csv())
-        else:
-            for c in configs:
-                path = args.out.with_name(f"{args.out.stem}-r{c.stream:04d}{args.out.suffix}")
-                path.write_text(c.to_csv())
+        for i, u in enumerate(rows):
+            path = args.out.with_name(f"{args.out.stem}-r{i:04d}{args.out.suffix}")
+            path.write_text(_sample_csv(params, args.seed, i, u))
     return 0
 
 

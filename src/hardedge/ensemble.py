@@ -26,10 +26,11 @@ O(sqrt(c)) of theta = 1, and the better method keeps more than a third of
 its proposals (as c grows, with s = c + x sqrt(c), P -> Phi(-x) and Z -> x
 times the Mills ratio, which meet near 0.355).  A sampler call evaluates ln P
 only on a bracket of O(sqrt(c)) indices around the edge.  The module also
-evaluates the exact per-particle CDF/density in log space, and the
-exponential approximation's total-variation diagnostics: the bound as a
-positive series and the exact distance in closed form, at the one point where
-the two densities cross (the test suite checks it against quadrature).
+evaluates the exact per-particle CDF, the log-normalizer of the per-particle
+density (for :func:`hardedge.process.mean_exact`), and the exponential
+approximation's total-variation diagnostics: the bound as a positive series
+and the exact distance in closed form, at the one point where the two
+densities cross (the test suite checks it against quadrature).
 
 Reproducibility: configuration r (its stream) reads its first round and a
 reservoir of retry uniforms from its own range of draws of the PCG64 stream
@@ -43,9 +44,6 @@ streams must be integers in [0, 2^64).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -57,14 +55,10 @@ from .special_functions import log_reg_lower_gamma
 
 __all__ = [
     "EnsembleParams",
-    "RadialConfiguration",
     "theta",
-    "sample_configuration",
     "sample_batch",
     "cdf_u",
-    "density_u",
     "exp_rate",
-    "weight_w",
     "tv_upper_bound",
 ]
 
@@ -147,45 +141,6 @@ class EnsembleParams:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "b": self.b, "rho": self.rho, "n": int(self.n)}
-
-
-@dataclass(frozen=True)
-class RadialConfiguration:
-    """One sampled hard-edge configuration (U_1, ..., U_n), unordered."""
-
-    u: np.ndarray
-    params: EnsembleParams
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        if u.shape != (self.params.n,):
-            raise ValueError(f"expected {self.params.n} coordinates, got shape {u.shape}")
-        if not np.all(np.isfinite(u)) or np.any(u < 0.0):
-            raise ValueError("coordinates must be finite and >= 0")
-        u.setflags(write=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        p = self.params
-        w.writerow(["alpha", "b", "rho", "n", "seed", "stream"])
-        w.writerow([repr(p.alpha), repr(p.b), repr(p.rho), p.n, self.seed, self.stream])
-        w.writerow(["u"])
-        for v in self.u:
-            w.writerow([repr(float(v))])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "params": self.params.to_dict(),
-            "seed": int(self.seed),
-            "stream": int(self.stream),
-            "u": [float(v) for v in self.u],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _check_index(params: EnsembleParams, j) -> np.ndarray:
@@ -462,18 +417,12 @@ def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
     return store[:rows * row].reshape(rows, row)[:, :m], counts
 
 
-def sample_configuration(params: EnsembleParams, seed: int, stream: int = 0) -> RadialConfiguration:
-    """Sample all n particles independently; bit-reproducible for a fixed key."""
-    u = sample_batch(params, seed, [stream])[0]
-    return RadialConfiguration(u=u, params=params, seed=int(seed), stream=int(stream))
-
-
 def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
-    """Stack of configurations, one row per stream index.
+    """Configurations (U_1, ..., U_n), one row per stream index, as an owned
+    C-contiguous (len(streams), n) array.
 
-    Row i equals ``sample_configuration(params, seed, streams[i]).u`` bit for
-    bit; batching only amortizes the per-parameter constants and the
-    arithmetic across rows.
+    Row i depends only on (params, seed, streams[i]), bit for bit: batching
+    only amortizes the per-parameter constants and the arithmetic across rows.
     """
     return _sample(params, np.arange(1, params.n + 1), seed, streams)[0].copy()
 
@@ -504,32 +453,10 @@ def cdf_u(params: EnsembleParams, j, t):
 
 
 def _log_norm(params: EnsembleParams, s):
-    """ln(a^2 beta) = ln(c^s beta / (Gamma(s) P(s, c))), the constant of ln f_j."""
+    """ln(a^2 beta) = ln(c^s beta / (Gamma(s) P(s, c))), the constant of ln f_j:
+    U_j has density f_j(x) = a^2 beta exp(-beta s x - c exp(-beta x))."""
     log_a2 = s * math.log(params.c) - gammaln(s) - log_reg_lower_gamma(s, params.c)
     return log_a2 + math.log(params.beta)
-
-
-def log_density_u(params: EnsembleParams, j, x):
-    """ln f_j(x) for the law of U_j, assembled fully in log space.
-
-    f_j(x) = a^2 * beta * exp(-beta*s*x) * exp(-c * exp(-beta*x)) with the
-    normalizer a^2 = c^s / (Gamma(s) P(s, c)).
-    """
-    ja = _check_index(params, j)
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.isnan(xa)) or np.any(xa < 0.0):
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    s = (ja + params.alpha) / params.b
-    out = _log_norm(params, s) - params.beta * s * xa - params.c * np.exp(-params.beta * xa)
-    scalar = np.isscalar(j) and np.isscalar(x)
-    return float(out) if scalar or np.ndim(out) == 0 else out
-
-
-def density_u(params: EnsembleParams, j, x):
-    """Density of U_j at x >= 0; integrates to one over [0, inf)."""
-    out = np.exp(log_density_u(params, j, x))
-    scalar = np.isscalar(j) and np.isscalar(x)
-    return float(out) if scalar or np.ndim(out) == 0 else out
 
 
 def _theta_above_one(params: EnsembleParams, j):
@@ -546,18 +473,6 @@ def exp_rate(params: EnsembleParams, j):
     th = _theta_above_one(params, j)
     out = (params.b * params.rho ** (2.0 * params.b) / params.kappa) * (np.asarray(th) - 1.0)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def weight_w(params: EnsembleParams, x):
-    """Reweighting factor tying the exact law of U_j to its exponential
-    approximant; equals exp(-c*(e^{-beta x} - 1 + beta x)), in (0, 1],
-    non-increasing, and -> 1 pointwise as n grows."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.isnan(xa)) or np.any(xa < 0.0):
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    bx = params.beta * xa
-    out = np.exp(-params.c * (np.expm1(-bx) + bx))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def tv_upper_bound(params: EnsembleParams, j):

@@ -1,19 +1,22 @@
-"""Path algebra of the radius-dependent statistic.
+"""The radius-dependent statistic, its hitting times and its exact mean.
 
-Given a configuration (U_1, ..., U_n) and a bounded test function phi, the
+Given configurations (U_1, ..., U_n) and a bounded test function phi, the
 statistic
 
     S(t) = (1/n) * sum_j phi(U_j) * 1[U_j <= t]
 
-is a cadlag step path.  This module builds that path, evaluates it (right
-continuously) by binary search, answers first-hitting queries
+is a right-continuous step path in t, and for positive phi its first-hitting
+time is
 
-    Q(h) = inf{ s >= 0 : S(s) > h }      (+inf when the set is empty),
+    Q(h) = inf{ s >= 0 : S(s) > h }      (+inf when the set is empty).
 
-and computes the exact finite-n mean E S(t) = (1/n) sum_j int_0^t phi f_j by
-adaptive vector quadrature against the per-particle densities, one component
-per particle: E S over a whole grid of t comes from one cumulative pass
-(:func:`hardedge.quadrature.cumulative`) per block of particles.
+:func:`statistic_paths` reduces a whole block of configurations to S on a
+grid, S(+inf) and Q at a set of levels; every campaign runs it.
+:func:`mean_exact` computes the exact finite-n mean E S(t) = (1/n) sum_j
+int_0^t phi f_j by adaptive vector quadrature against the per-particle
+densities, one component per particle: E S over a whole grid of t comes from
+one cumulative pass (:func:`hardedge.quadrature.cumulative`) per block of
+particles.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .ensemble import EnsembleParams, RadialConfiguration, _log_norm
+from .ensemble import EnsembleParams, _log_norm
 from .quadrature import cumulative
 from .special_functions import log_reg_lower_gamma
 
 __all__ = [
     "TestFunction",
-    "StepProcess",
-    "build_statistic",
+    "statistic_paths",
     "mean_exact",
     "phi_one",
     "phi_exp_decay",
@@ -130,65 +132,81 @@ def phi_from_table(x, y, name: str = "table") -> TestFunction:
     )
 
 
-@dataclass(frozen=True)
-class StepProcess:
-    """Right-continuous staircase: value at t is the sum of increments at
-    locations <= t.  Equal locations are merged at construction, so the jump
-    locations are strictly increasing."""
+def _bins(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of points of the nondecreasing ``grid`` below each u, as
+    intp: ``np.searchsorted(grid, u)`` bit for bit, without copying a strided u.
 
-    locations: np.ndarray
-    increments: np.ndarray
-    nondecreasing: bool
-
-    def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=float)
-        inc = np.asarray(self.increments, dtype=float)
-        if loc.shape != inc.shape or loc.ndim != 1:
-            raise ValueError("locations and increments must be matching 1-d arrays")
-        if np.any(np.diff(loc) <= 0.0):
-            raise ValueError("jump locations must be strictly increasing")
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "_cumulative", np.cumsum(inc))
-        loc.setflags(write=False)
-        inc.setflags(write=False)
-
-    def value(self, t):
-        """S(t), right-continuous; t >= 0 or +inf."""
-        ta = np.asarray(t, dtype=float)
-        if np.any(np.isnan(ta)):
-            raise ValueError("t must not be NaN")
-        idx = np.searchsorted(self.locations, ta, side="right")
-        cum = np.concatenate(([0.0], self._cumulative))
-        out = cum[idx]
-        return float(out) if np.isscalar(t) or out.ndim == 0 else out
-
-    def hitting_time(self, h):
-        """First time the path strictly exceeds level h; +inf if never.
-
-        Requires a path built from a positive test function (monotone
-        staircase) -- the infimum formula is only meaningful there.
-        """
-        if not self.nondecreasing:
-            raise ValueError("hitting_time requires a nondecreasing path (positive phi)")
-        ha = np.asarray(h, dtype=float)
-        if np.any(np.isnan(ha)) or np.any(ha < 0.0):
-            raise ValueError(f"level must be >= 0, got {h!r}")
-        idx = np.searchsorted(self._cumulative, ha, side="right")
-        loc = np.concatenate((self.locations, [np.inf]))
-        out = loc[idx]
-        return float(out) if np.isscalar(h) or out.ndim == 0 else out
+    A branchless binary search over the grid padded with +inf to 2^k - 1
+    points, k = ceil(log2(G + 1)).  Each pass fixes one more bit of the count:
+    the first compares u with the middle point, a scalar; a later pass with
+    half-width h compares u with pad[(2b + 1)h - 1], the middle of the range
+    that the bits b found so far leave open.  G = 0 gives zeros.
+    """
+    k = len(grid).bit_length()
+    if k == 0:
+        return np.zeros(u.shape, dtype=np.intp)
+    pad = np.full(2**k - 1, np.inf)
+    pad[:len(grid)] = grid
+    h = 1 << (k - 1)
+    step = pad[h - 1] < u
+    bins = step.astype(np.intp)
+    while h > 1:
+        h >>= 1
+        np.less(pad[h - 1::2 * h].take(bins), u, out=step)
+        bins <<= 1
+        bins += step
+    return bins
 
 
-def build_statistic(config: RadialConfiguration, phi: TestFunction) -> StepProcess:
-    """Step path of (1/n) sum_j phi(U_j) 1[U_j <= t] with ties merged."""
-    n = config.params.n
-    order = np.argsort(config.u, kind="stable")
-    su = config.u[order]
-    w = np.asarray(phi(su), dtype=float) / n
-    uniq, start = np.unique(su, return_index=True)
-    inc = np.add.reduceat(w, start) if len(w) else w
-    return StepProcess(locations=uniq, increments=inc, nondecreasing=bool(phi.positive))
+def statistic_paths(u, phi: TestFunction, grid, levels=()):
+    """(S, S_inf, Q) for the configurations ``u``, an (M, n) array of rows
+    (U_1, ..., U_n): S (M, G) holds S(t) at the points t of ``grid``, S_inf
+    (M,) holds S(+inf), and Q (M, H) the hitting times Q(h) at ``levels``.
+
+    Each row is binned once against the grid with ``_bins``, which reads a
+    strided u in place, and one bincount sums the weights phi(U_j)/n of every
+    (row, bin) pair, so temporaries stay O(M x n) whatever the grid size.
+    With levels, the rows of ``u`` are sorted in place first (a float64 ``u``
+    must be writable; any other is converted, and the copy sorted), so Q is
+    the cumulative weight and one comparison per level; without levels ``u``
+    is left as it is.
+
+    Raises ``ValueError`` for a grid that is not nondecreasing or holds NaN
+    (repeated points are allowed), a NaN or negative level, levels with a
+    phi not certified positive, and a NaN or negative U.
+    """
+    u = np.asarray(u, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    if u.ndim != 2:
+        raise ValueError(f"configurations must be an (M, n) array, got shape {u.shape}")
+    if np.isnan(grid).any() or np.any(grid[1:] < grid[:-1]):
+        raise ValueError("grid must be sorted ascending, without NaN")
+    if not np.all(levels >= 0.0):
+        raise ValueError("levels must be >= 0 and not NaN")
+    if len(levels) and not phi.positive:
+        raise ValueError("hitting times need a positive phi")
+    if u.size and not np.min(u) >= 0.0:
+        raise ValueError("coordinates must be >= 0 and not NaN")
+    M, n = u.shape
+    G = len(grid)
+    if len(levels):
+        u.sort(axis=1)
+    w = np.asarray(phi(u), dtype=float) / n
+    r = np.arange(M)
+    # bin b of row r holds the particles with grid[b-1] < u <= grid[b];
+    # bin G holds those beyond the grid
+    bins = _bins(grid, u)
+    bins += r[:, None] * (G + 1)
+    mass = np.bincount(bins.ravel(), weights=w.ravel(), minlength=M * (G + 1))
+    S = np.cumsum(mass.reshape(M, G + 1)[:, :G], axis=1)
+    Q = np.empty((M, len(levels)))
+    if len(levels):
+        su = np.concatenate((u, np.full((M, 1), np.inf)), axis=1)
+        cum = np.cumsum(w, axis=1)
+        for k, h in enumerate(levels):
+            Q[:, k] = su[r, np.count_nonzero(cum <= h, axis=1)]
+    return S, np.sum(w, axis=1), Q
 
 
 def _tail_cutoff(params: EnsembleParams, eps: float) -> float:

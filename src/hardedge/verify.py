@@ -161,10 +161,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown campaign kind {self.kind!r}; expected one of {CAMPAIGN_KINDS}")
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
-        if list(self.grid) != sorted(self.grid):
-            raise ValueError("grid must be sorted ascending")
-        if list(self.levels) != sorted(self.levels):
-            raise ValueError("levels must be sorted ascending")
+        for name in ("grid", "levels", "cross_times"):
+            if list(getattr(self, name)) != sorted(getattr(self, name)):
+                raise ValueError(f"{name} must be sorted ascending")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.lemma_replicates < 1:
@@ -321,52 +320,16 @@ def _run_blocks(replicates: int, n: int, workers: int, block_fn):
         return [f.result() for f in futures]
 
 
-def _bins(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The number of points of the increasing ``grid`` below each u, as intp:
-    ``np.searchsorted(grid, u)`` bit for bit, without copying a strided u.
-
-    A branchless binary search over the grid padded with +inf to 2^k - 1
-    points, k = ceil(log2(G + 1)).  Each pass fixes one more bit of the count:
-    the first compares u with the middle point, a scalar; a later pass with
-    half-width h compares u with pad[(2b + 1)h - 1], the middle of the range
-    that the bits b found so far leave open.  G = 0 gives zeros.  (A NaN u,
-    which the sampler never returns, gets 0 here and G from searchsorted.)
-    """
-    k = len(grid).bit_length()
-    if k == 0:
-        return np.zeros(u.shape, dtype=np.intp)
-    pad = np.full(2**k - 1, np.inf)
-    pad[:len(grid)] = grid
-    h = 1 << (k - 1)
-    step = pad[h - 1] < u
-    bins = step.astype(np.intp)
-    while h > 1:
-        h >>= 1
-        np.less(pad[h - 1::2 * h].take(bins), u, out=step)
-        bins <<= 1
-        bins += step
-    return bins
-
-
 def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
                         phi: TestFunction, grid: np.ndarray, levels=(),
                         replicates: Optional[int] = None):
-    """S on ``grid``, S_inf and the hitting times Q on ``levels`` (an (M, 0)
-    array when there are none) for every replicate.
-
-    Each block bins its particles once against the grid with ``_bins``, a
-    binary search that reads the sampler's strided rows in place, and sums the
-    weights of every (replicate, bin) pair with one bincount, so temporaries
-    stay O(block x n) whatever the grid size.  With levels, the block's rows are
-    sorted in place once, before weighting, so Q is the cumulative weight and
-    one comparison per level; without levels nothing is sorted.
-    """
+    """:func:`hardedge.process.statistic_paths` over every replicate, block by
+    block: (S, S_inf, Q) with one row per replicate."""
     M = replicates if replicates is not None else config.replicates
-    n, G = params.n, len(grid)
-    S = np.empty((M, G))
+    S = np.empty((M, len(grid)))
     S_inf = np.empty(M)
     Q = np.empty((M, len(levels)))
-    js = np.arange(1, n + 1)
+    js = np.arange(1, params.n + 1)
     # one sampler workspace per worker thread, reused by its blocks
     spaces = threading.local()
 
@@ -374,24 +337,9 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
         if not hasattr(spaces, "ws"):
             spaces.ws = ens._Workspace()
         u = ens._sample(params, js, config.seed, range(i0, i1), spaces.ws)[0]
-        if len(levels):
-            u.sort(axis=1)
-        w = np.asarray(phi(u), dtype=float) / n
-        r = np.arange(i1 - i0)
-        # bin b of row r holds the particles with grid[b-1] < u <= grid[b];
-        # bin G holds those beyond the grid
-        bins = _bins(grid, u)
-        bins += r[:, None] * (G + 1)
-        mass = np.bincount(bins.ravel(), weights=w.ravel(), minlength=len(r) * (G + 1))
-        S[i0:i1] = np.cumsum(mass.reshape(len(r), G + 1)[:, :G], axis=1)
-        S_inf[i0:i1] = np.sum(w, axis=1)
-        if len(levels):
-            su = np.concatenate((u, np.full((len(r), 1), np.inf)), axis=1)
-            cum = np.cumsum(w, axis=1)
-            for k, h in enumerate(levels):
-                Q[i0:i1, k] = su[r, np.count_nonzero(cum <= h, axis=1)]
+        S[i0:i1], S_inf[i0:i1], Q[i0:i1] = proc.statistic_paths(u, phi, grid, levels)
 
-    _run_blocks(M, n, config.workers, block)
+    _run_blocks(M, params.n, config.workers, block)
     return S, S_inf, Q
 
 

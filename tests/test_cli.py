@@ -8,7 +8,7 @@ import pytest
 import hardedge.limit_law as ll
 import hardedge.quadrature as quadrature
 from hardedge.cli import main, parse_grid
-from hardedge.ensemble import EnsembleParams, sample_configuration
+from hardedge.ensemble import EnsembleParams, sample_batch
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -101,8 +101,44 @@ class TestSampleCommand:
         params = EnsembleParams(**payload["params"])
         for i, row in enumerate(payload["configurations"]):
             assert row["stream"] == i
-            expected = sample_configuration(params, payload["seed"], i).u
+            expected = sample_batch(params, payload["seed"], [i])[0]
             assert np.array_equal(np.array(row["u"]), expected)
+
+    ROUND_TRIP = ["--n", "30", "--alpha", "-0.5", "--b", "2", "--rho", "0.6", "--seed", "5"]
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_csv_round_trip(self, tmp_path, replicates):
+        # header fields, seed and stream, and every U bit for bit as sample_batch
+        out = tmp_path / "cfg.csv"
+        assert main(["sample", *self.ROUND_TRIP, "--replicates", str(replicates),
+                     "--out", str(out)]) == 0
+        want = sample_batch(EnsembleParams(-0.5, 2.0, 0.6, 30), 5, range(replicates))
+        paths = [out] if replicates == 1 else [tmp_path / f"cfg-r{i:04d}.csv"
+                                               for i in range(replicates)]
+        assert sorted(tmp_path.iterdir()) == paths
+        for stream, path in enumerate(paths):
+            rows = list(csv.reader(path.open()))
+            header = dict(zip(rows[0], rows[1]))
+            assert rows[0] == ["alpha", "b", "rho", "n", "seed", "stream"]
+            params = EnsembleParams(alpha=float(header["alpha"]), b=float(header["b"]),
+                                    rho=float(header["rho"]), n=int(header["n"]))
+            assert params == EnsembleParams(-0.5, 2.0, 0.6, 30)
+            assert (int(header["seed"]), int(header["stream"])) == (5, stream)
+            assert rows[2] == ["u"]
+            assert np.array_equal([float(r[0]) for r in rows[3:]], want[stream])
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_json_round_trip(self, tmp_path, replicates):
+        out = tmp_path / "cfg.json"
+        assert main(["sample", *self.ROUND_TRIP, "--replicates", str(replicates),
+                     "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert EnsembleParams(**payload["params"]) == EnsembleParams(-0.5, 2.0, 0.6, 30)
+        assert payload["seed"] == 5
+        configs = payload.get("configurations", [payload])
+        assert [c["stream"] for c in configs] == list(range(replicates))
+        want = sample_batch(EnsembleParams(-0.5, 2.0, 0.6, 30), 5, range(replicates))
+        assert np.array_equal([c["u"] for c in configs], want)
 
 
 class TestLimitCommand:

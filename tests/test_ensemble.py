@@ -1,6 +1,3 @@
-import csv
-import io
-import json
 import math
 import warnings
 
@@ -140,17 +137,16 @@ class TestSampling:
         assert np.all((r > 0.0) & (r <= 1.0))
 
     def test_determinism_and_sensitivity(self):
-        c1 = ens.sample_configuration(CANON, 123)
-        c2 = ens.sample_configuration(CANON, 123)
-        c3 = ens.sample_configuration(CANON, 124)
-        assert np.array_equal(c1.u, c2.u)
-        assert np.any(c1.u != c3.u)
+        u1 = ens.sample_batch(CANON, 123, [0])[0]
+        u2 = ens.sample_batch(CANON, 123, [0])[0]
+        u3 = ens.sample_batch(CANON, 124, [0])[0]
+        assert np.array_equal(u1, u2)
+        assert np.any(u1 != u3)
 
     def test_batch_matches_single_configurations(self):
         batch = ens.sample_batch(CANON, 9, range(4))
         for i in range(4):
-            single = ens.sample_configuration(CANON, 9, stream=i)
-            assert np.array_equal(batch[i], single.u)
+            assert np.array_equal(batch[i], ens.sample_batch(CANON, 9, [i])[0])
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
                                               (1.7, 0), (0, 0.9), (np.float64(1.0), 0),
@@ -159,8 +155,6 @@ class TestSampling:
         # a float that int() would truncate is refused, not taken as its floor
         with pytest.raises(ValueError):
             ens.sample_batch(CANON, seed, [stream])
-        with pytest.raises(ValueError):
-            ens.sample_configuration(CANON, seed, stream)
 
     def test_numpy_integer_seed_and_stream(self):
         top = 2**64 - 1
@@ -262,7 +256,7 @@ class TestRejectionSampler:
             pieces = [ens.sample_batch(params, 21, [streams[i] for i in part]) for part in parts]
             assert np.array_equal(np.concatenate(pieces), whole)
         for i, s in enumerate(streams):
-            assert np.array_equal(ens.sample_configuration(params, 21, s).u, whole[i])
+            assert np.array_equal(ens.sample_batch(params, 21, [s])[0], whole[i])
 
     @staticmethod
     def _record_draws(monkeypatch):
@@ -309,7 +303,7 @@ class TestRejectionSampler:
             pieces = [ens.sample_batch(CANON, 21, [streams[i] for i in part]) for part in parts]
             assert np.array_equal(np.concatenate(pieces), whole)
         for s in (0, 7, 23):
-            assert np.array_equal(ens.sample_configuration(CANON, 21, s).u, whole[s])
+            assert np.array_equal(ens.sample_batch(CANON, 21, [s])[0], whole[s])
 
     def test_refilled_particle_law_ks(self, monkeypatch):
         # j = 28 (TV bound 0.49, exponential class) with a one-slot-per-
@@ -385,7 +379,7 @@ class TestRejectionSampler:
         (seed, offset, size), = self._first_draws(calls)
         assert seed == 6 and offset == streams[0] * (size // 3) > 2**64
         for i, stream in enumerate(streams):
-            assert np.array_equal(ens.sample_configuration(CANON, 6, stream).u, batch[i])
+            assert np.array_equal(ens.sample_batch(CANON, 6, [stream])[0], batch[i])
 
     def test_two_candidate_rounds(self, monkeypatch):
         # two or more candidates per entry and round at least halve the retry
@@ -459,7 +453,7 @@ class TestRejectionSampler:
 
         monkeypatch.setattr(ens, "_Workspace", Recording)
         u = ens.sample_batch(CANON, 2, range(3))
-        one = ens.sample_configuration(CANON, 2, 1).u
+        one = ens.sample_batch(CANON, 2, [1])[0]
         assert u.flags.c_contiguous and u.flags.owndata and len(spaces) == 2
         assert not any(np.shares_memory(x, w.floats) for x in (u, one) for w in spaces)
 
@@ -522,10 +516,10 @@ class TestExactLaws:
         assert ens.cdf_u(CANON, 30, 0.0) == 0.0
         assert ens.cdf_u(CANON, 30, math.inf) == 1.0
 
-    def test_cdf_matches_density_quadrature(self):
+    def test_cdf_matches_density_quadrature(self, density_u):
         for j in (20, 50, 90):
             for t in (0.5, 2.0, 10.0):
-                num = quad(lambda x: ens.density_u(CANON, j, x), 0.0, t,
+                num = quad(lambda x: density_u(CANON, j, x), 0.0, t,
                            epsabs=1e-12, limit=200)[0]
                 assert ens.cdf_u(CANON, j, t) == pytest.approx(num, abs=1e-8)
 
@@ -540,21 +534,21 @@ class TestExactLaws:
         for t in (0.1, 1.0, 3.0, 8.0):
             assert ens.cdf_u(p2, j2, t) == pytest.approx(ens.cdf_u(p1, j1, t), abs=1e-12)
 
-    def test_density_normalizes(self):
+    def test_density_normalizes(self, density_u):
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=50)
-        total = quad(lambda x: ens.density_u(p, 40, x), 0.0, np.inf,
+        total = quad(lambda x: density_u(p, 40, x), 0.0, np.inf,
                      epsabs=1e-10, limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_density_vanishes_in_far_tail(self):
+    def test_density_vanishes_in_far_tail(self, density_u):
         x_far = 1e3 * CANON.n * CANON.kappa / CANON.b
-        assert ens.density_u(CANON, 60, x_far) < 1e-300
+        assert density_u(CANON, 60, x_far) < 1e-300
 
-    def test_cdf_finite_difference_matches_density(self):
+    def test_cdf_finite_difference_matches_density(self, density_u):
         eps = 1e-5
         for x in (0.5, 2.0, 10.0):
             fd = (ens.cdf_u(CANON, 70, x + eps) - ens.cdf_u(CANON, 70, x - eps)) / (2 * eps)
-            assert fd == pytest.approx(ens.density_u(CANON, 70, x), abs=1e-6)
+            assert fd == pytest.approx(density_u(CANON, 70, x), abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -583,32 +577,17 @@ class TestExponentialApproximation:
         with pytest.raises(ValueError):
             ens.exp_rate(CANON, 10)
 
-    def test_weight_at_zero_and_range(self):
-        assert ens.weight_w(CANON, 0.0) == 1.0
-        x = np.logspace(-3, 3, 40)
-        w = ens.weight_w(CANON, x)
-        assert np.all((w > 0.0) & (w <= 1.0))
-        assert np.all(np.diff(w) <= 0.0)
-
-    def test_weight_tends_to_one_with_n(self):
-        vals = [
-            ens.weight_w(EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=n), 5.0)
-            for n in (100, 1000, 10000)
-        ]
-        assert vals[0] < vals[1] < vals[2] < 1.0
-        assert vals[2] > 1.0 - 1e-3
-
     def test_tv_bound_nonnegative_and_dominates_exact(self):
         bound = ens.tv_upper_bound(CANON, 80)
         exact = ens.exact_tv_exponential(CANON, 80)
         assert bound >= 0.0
         assert exact <= bound
 
-    def test_exact_tv_matches_density_quadrature(self):
+    def test_exact_tv_matches_density_quadrature(self, density_u):
         # the same integral with f_U taken from density_u at every node
         for p, j in ((CANON, 80), (EnsembleParams(alpha=-0.5, b=2.0, rho=0.6, n=2000), 1500)):
             rate = ens.exp_rate(p, j)
-            ref = 0.5 * quad(lambda x: abs(ens.density_u(p, j, x) - rate * math.exp(-rate * x)),
+            ref = 0.5 * quad(lambda x: abs(density_u(p, j, x) - rate * math.exp(-rate * x)),
                              0.0, np.inf, epsabs=1e-11, epsrel=1e-9, limit=300)[0]
             assert ens.exact_tv_exponential(p, j) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
@@ -686,23 +665,3 @@ class TestTvSeries:
         monkeypatch.setattr(ens, "_TV_MAX_TERMS", 1)
         with pytest.raises(ArithmeticError):
             ens.tv_upper_bound(CANON, 80)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self):
-        cfg = ens.sample_configuration(CANON, 5)
-        rows = list(csv.reader(io.StringIO(cfg.to_csv())))
-        header = dict(zip(rows[0], rows[1]))
-        params = EnsembleParams(alpha=float(header["alpha"]), b=float(header["b"]),
-                                rho=float(header["rho"]), n=int(header["n"]))
-        assert params == cfg.params
-        assert (int(header["seed"]), int(header["stream"])) == (5, 0)
-        assert rows[2] == ["u"]
-        assert np.array_equal([float(r[0]) for r in rows[3:]], cfg.u)
-
-    def test_json_round_trip(self):
-        cfg = ens.sample_configuration(CANON, 5, stream=3)
-        payload = json.loads(cfg.to_json())
-        assert EnsembleParams(**payload["params"]) == cfg.params
-        assert (payload["seed"], payload["stream"]) == (5, 3)
-        assert np.array_equal(payload["u"], cfg.u)

@@ -9,8 +9,8 @@ from scipy.special import gammainc, gammaincinv, gammaln
 
 from hardedge import ensemble as ens
 from hardedge import process as proc
-from hardedge.ensemble import EnsembleParams, RadialConfiguration
-from hardedge.process import StepProcess, build_statistic, mean_exact
+from hardedge.ensemble import EnsembleParams
+from hardedge.process import mean_exact, statistic_paths
 from hardedge.process import TestFunction as PhiFunction
 from hardedge.special_functions import log_reg_lower_gamma
 
@@ -67,10 +67,16 @@ MEAN_AT_INF_SETS = [
 ]
 
 
-def make_config(u, params=None):
-    u = np.asarray(u, dtype=float)
-    params = params or EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=len(u))
-    return RadialConfiguration(u=u, params=params, seed=0)
+def staircase(locations, increments):
+    """One configuration at ``locations`` (reversed, so the sort matters) and
+    a positive phi that gives the particle at locations[k] the weight
+    increments[k], as (u, phi, w) with w the weights phi(u)/n in location
+    order."""
+    locations = np.asarray(locations, dtype=float)
+    scaled = len(locations) * np.asarray(increments, dtype=float)
+    phi = PhiFunction(fn=lambda x: scaled[np.searchsorted(locations, x)],
+                      bound=float(scaled.max()), positive=True, name="staircase")
+    return locations[None, ::-1].copy(), phi, phi(locations) / len(locations)
 
 
 class TestTestFunctions:
@@ -99,68 +105,98 @@ class TestTestFunctions:
 
 class TestBuildStatistic:
     def test_counting_normalization(self):
-        cfg = ens.sample_configuration(CANON, 3)
-        sp = build_statistic(cfg, proc.phi_one())
-        assert sp.value(math.inf) == pytest.approx(1.0, abs=1e-12)
+        u = ens.sample_batch(CANON, 3, [0])
+        S, S_inf, _ = statistic_paths(u, proc.phi_one(), [math.inf])
+        assert S[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert S_inf[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tiny_example_with_ties(self):
-        # u = {1, 2, 2}, phi(x) = x: S(1.5) = 1/3, S(2) = (1+2+2)/3 = 5/3
-        cfg = make_config([1.0, 2.0, 2.0])
-        phi = PhiFunction(fn=lambda x: x, bound=10.0, positive=False, name="identity")
-        sp = build_statistic(cfg, phi)
-        assert sp.value(1.5) == pytest.approx(1.0 / 3.0)
-        assert sp.value(2.0) == pytest.approx(5.0 / 3.0)
-        assert len(sp.locations) == 2  # the tie is merged
+        # u = {1, 2, 2}, phi(x) = x: S(1.5) = 1/3, S(2) = (1+2+2)/3 = 5/3; the
+        # tie is one jump, so a level between its two partial sums hits at 2
+        phi = PhiFunction(fn=lambda x: x, bound=10.0, positive=True, name="identity")
+        S, S_inf, Q = statistic_paths(np.array([[2.0, 1.0, 2.0]]), phi, [1.5, 2.0],
+                                      levels=[0.5, 1.0, 1.2])
+        assert S[0] == pytest.approx([1.0 / 3.0, 5.0 / 3.0])
+        assert S_inf[0] == pytest.approx(5.0 / 3.0)
+        assert np.array_equal(Q[0], [2.0, 2.0, 2.0])
 
     def test_matches_brute_force_summation(self):
         rng = np.random.default_rng(1)
-        u = rng.uniform(0, 10, size=37)
-        cfg = make_config(u, EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=37))
+        u = rng.uniform(0, 10, size=(3, 37))
         phi = proc.phi_exp_decay(0.3)
-        sp = build_statistic(cfg, phi)
-        w = phi(u) / 37
-        for t in rng.uniform(-1, 12, size=25):
-            assert sp.value(float(t)) == pytest.approx(brute_value(u, w, t), abs=1e-14)
+        grid = np.sort(rng.uniform(-1, 12, size=25))
+        S = statistic_paths(u, phi, grid)[0]
+        for row, path in zip(u, S):
+            w = phi(row) / 37
+            for t, value in zip(grid, path):
+                assert value == pytest.approx(brute_value(row, w, t), abs=1e-14)
 
     def test_jump_bound(self):
-        cfg = ens.sample_configuration(CANON, 4)
+        u = ens.sample_batch(CANON, 4, [0])
         phi = proc.phi_exp_decay(1.0)
-        sp = build_statistic(cfg, phi)
-        assert np.max(np.abs(sp.increments)) <= phi.bound / CANON.n + 1e-15
+        # the grid holds every particle, so each step of S is one jump
+        S = statistic_paths(u, phi, np.sort(u[0]))[0][0]
+        assert np.max(np.abs(np.diff(S, prepend=0.0))) <= phi.bound / CANON.n + 1e-15
 
 
 class TestValueSemantics:
     def test_before_first_jump(self):
-        sp = StepProcess(locations=np.array([1.0, 2.0]), increments=np.array([0.5, 0.5]),
-                         nondecreasing=True)
-        assert sp.value(0.0) == 0.0
-        assert sp.value(0.999) == 0.0
+        S = statistic_paths(np.array([[2.0, 1.0]]), proc.phi_one(), [0.0, 0.999])[0]
+        assert np.array_equal(S[0], [0.0, 0.0])
 
     def test_right_continuity_at_jump(self):
-        sp = StepProcess(locations=np.array([1.0, 2.0]), increments=np.array([0.5, 0.5]),
-                         nondecreasing=True)
-        assert sp.value(1.0) == 0.5
-        assert sp.value(2.0) == 1.0
+        S = statistic_paths(np.array([[2.0, 1.0]]), proc.phi_one(), [1.0, 2.0])[0]
+        assert np.array_equal(S[0], [0.5, 1.0])
+
+    def test_repeated_grid_points(self):
+        S = statistic_paths(np.array([[2.0, 1.0]]), proc.phi_one(), [1.0, 1.0, 2.0, 2.0])[0]
+        assert np.array_equal(S[0], [0.5, 0.5, 1.0, 1.0])
+
+
+class TestStatisticPathsInput:
+    @pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, math.nan], [math.nan]])
+    def test_bad_grid_raises(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            statistic_paths(np.array([[1.0, 2.0]]), proc.phi_one(), grid)
+
+    @pytest.mark.parametrize("level", [math.nan, -0.1])
+    def test_bad_level_raises(self, level):
+        with pytest.raises(ValueError, match="levels"):
+            statistic_paths(np.array([[1.0, 2.0]]), proc.phi_one(), [1.0], levels=[0.2, level])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300])
+    def test_bad_coordinate_raises(self, bad):
+        with pytest.raises(ValueError, match="coordinates"):
+            statistic_paths(np.array([[1.0, 2.0], [0.5, bad]]), proc.phi_one(), [1.0])
+
+    def test_needs_two_axes(self):
+        with pytest.raises(ValueError, match="shape"):
+            statistic_paths(np.array([1.0, 2.0]), proc.phi_one(), [1.0])
+
+    def test_rows_sorted_in_place_only_with_levels(self):
+        u = ens.sample_batch(CANON, 5, range(3))
+        before = u.copy()
+        statistic_paths(u, proc.phi_one(), [1.0, 2.0])
+        assert np.array_equal(u, before)
+        statistic_paths(u, proc.phi_one(), [1.0, 2.0], levels=[0.3])
+        assert np.array_equal(u, np.sort(before, axis=1))
 
 
 class TestHittingTime:
     def test_single_jump(self):
-        sp = StepProcess(locations=np.array([3.0]), increments=np.array([0.25]),
-                         nondecreasing=True)
-        assert sp.hitting_time(0.1) == 3.0
-        assert sp.hitting_time(0.25) == math.inf  # strict inequality at the boundary
-        assert sp.hitting_time(0.3) == math.inf
+        u, phi, _ = staircase([3.0], [0.25])
+        Q = statistic_paths(u, phi, [], levels=[0.1, 0.25, 0.3])[2][0]
+        # strict inequality at the boundary: S never exceeds its total mass
+        assert np.array_equal(Q, [3.0, math.inf, math.inf])
 
     def test_level_zero(self):
-        sp = StepProcess(locations=np.array([0.7, 1.5]), increments=np.array([0.2, 0.2]),
-                         nondecreasing=True)
-        assert sp.hitting_time(0.0) == 0.7
+        Q = statistic_paths(np.array([[1.5, 0.7]]), proc.phi_one(), [], levels=[0.0])[2]
+        assert Q[0, 0] == 0.7
 
     def test_requires_monotone(self):
-        sp = StepProcess(locations=np.array([1.0]), increments=np.array([-0.5]),
-                         nondecreasing=False)
-        with pytest.raises(ValueError):
-            sp.hitting_time(0.1)
+        phi = PhiFunction(fn=lambda x: -x, bound=10.0, positive=False, name="negative")
+        with pytest.raises(ValueError, match="positive phi"):
+            statistic_paths(np.array([[1.0]]), phi, [], levels=[0.1])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -171,9 +207,9 @@ class TestHittingTime:
     )
     def test_matches_linear_scan(self, locs, incs, h):
         locs = np.sort(np.asarray(locs))
-        incs = np.asarray(incs[: len(locs)])
-        sp = StepProcess(locations=locs, increments=incs, nondecreasing=True)
-        assert sp.hitting_time(h) == brute_hitting(locs, np.cumsum(incs), h)
+        u, phi, w = staircase(locs, incs[: len(locs)])
+        Q = statistic_paths(u, phi, [], levels=[h])[2]
+        assert Q[0, 0] == brute_hitting(locs, np.cumsum(w), h)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,26 +220,24 @@ class TestHittingTime:
         # for finite Q(h): S(Q(h)) > h and S(s) <= h strictly before Q(h)
         rng = np.random.default_rng(seed)
         m = rng.integers(1, 20)
-        locs = np.sort(rng.uniform(0, 10, size=m))
-        locs = np.unique(locs)
-        incs = rng.uniform(0.01, 0.2, size=len(locs))
-        sp = StepProcess(locations=locs, increments=incs, nondecreasing=True)
-        q = sp.hitting_time(h)
+        locs = np.unique(rng.uniform(0, 10, size=m))
+        u, phi, _ = staircase(locs, rng.uniform(0.01, 0.2, size=len(locs)))
+        q = statistic_paths(u, phi, [], levels=[h])[2][0, 0]
         if math.isfinite(q):
-            assert sp.value(q) > h
-            before = q - 1e-9
-            if before >= 0:
-                assert sp.value(before) <= h
+            S = statistic_paths(u, phi, [q - 1e-9, q])[0][0]
+            assert S[1] > h
+            if q - 1e-9 >= 0:
+                assert S[0] <= h
 
     def test_hitting_map_right_continuous_nondecreasing(self):
-        sp = StepProcess(locations=np.array([1.0, 2.0, 5.0]),
-                         increments=np.array([0.3, 0.3, 0.4]), nondecreasing=True)
+        u, phi, _ = staircase([1.0, 2.0, 5.0], [0.3, 0.3, 0.4])
         hs = np.linspace(0, 1.2, 200)
-        qs = sp.hitting_time(hs)
+        qs = statistic_paths(u, phi, [], levels=hs)[2][0]
         assert np.all(np.diff(qs[np.isfinite(qs)]) >= 0)
         # right continuity: Q(h) == lim Q(h + eps)
         for h in (0.1, 0.3, 0.6):
-            assert sp.hitting_time(h) == sp.hitting_time(h + 1e-12)
+            q = statistic_paths(u, phi, [], levels=[h, h + 1e-12])[2][0]
+            assert q[0] == q[1]
 
 
 class TestMeanExact:
@@ -281,7 +315,7 @@ class TestMeanExact:
                 mean_exact_counting(p, 2.0), abs=1e-9)
 
     @pytest.mark.parametrize("lo, hi", [(1500.0, 1600.0), (8000.0, 9000.0), (2e4, 3e4)])
-    def test_skipped_particles_underflow(self, lo, hi):
+    def test_skipped_particles_underflow(self, lo, hi, density_u):
         # particles left unevaluated are exactly those whose density underflows
         # to 0 at every node; the others match density_u (u_scale = 1500 here)
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=2000)
@@ -289,7 +323,7 @@ class TestMeanExact:
         x = np.linspace(lo, hi, 42)
         got = proc._weighted_densities(p, phi, p.shapes())(x)
         j = np.arange(1, p.n + 1)
-        ref = phi(x)[:, None] * ens.density_u(p, j[None, :], x[:, None])
+        ref = phi(x)[:, None] * density_u(p, j[None, :], x[:, None])
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert 0 < np.count_nonzero(got.any(axis=0)) < p.n
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -9,8 +9,7 @@ from hardedge import ensemble as ens
 from hardedge import process as proc
 from hardedge import quadrature
 from hardedge import verify
-from hardedge.ensemble import EnsembleParams, sample_configuration
-from hardedge.process import build_statistic
+from hardedge.ensemble import EnsembleParams
 from hardedge.verify import (
     ExperimentConfig,
     PhiSpec,
@@ -40,6 +39,8 @@ class TestConfig:
             ExperimentConfig(kind="clt", params=SMALL, replicates=1)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="clt", params=SMALL, grid=(2.0, 1.0))
+        with pytest.raises(ValueError, match="cross_times"):
+            ExperimentConfig(kind="hitting", params=SMALL, cross_times=(2.0, 1.0))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="clt", params=SMALL, workers=0)
         with pytest.raises(ValueError):
@@ -66,30 +67,34 @@ class TestStatisticReduction:
     @pytest.mark.parametrize("kind", ["one", "rational", "exp_decay:0.5"])
     @pytest.mark.parametrize("with_levels", [False, True])
     def test_matches_per_configuration_path(self, kind, with_levels):
-        # the campaign reduction against build_statistic on the same draws,
+        # the campaign reduction against brute-force sums over the same draws,
         # over two replicate blocks; with levels the rows are sorted before
         # weighting, so for phi != one S is summed in another order; for
         # phi = rational and exp_decay the upper levels lie above the total
         # mass, so Q = +inf is covered too
         # the second grid adds sampled U values from both blocks as grid
-        # points, so u == t ties are binned as the path counts them (u <= t)
+        # points, so u == t ties are binned as S counts them (u <= t)
         p = EnsembleParams(0.0, 1.0, 0.5, 200)
         cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec.parse(kind),
                                replicates=150, seed=8)
         phi = cfg.phi.build()
         grid = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 30.0])
-        ties = np.concatenate([sample_configuration(p, cfg.seed, i).u[[3, 77, 150]]
-                               for i in (0, 140)])
+        rows = ens.sample_batch(p, cfg.seed, range(cfg.replicates))
+        ties = rows[[0, 140]][:, [3, 77, 150]].ravel()
         levels = np.array([0.05, 0.2, 0.4, 0.74])
-        paths = [build_statistic(sample_configuration(p, cfg.seed, i), phi)
-                 for i in range(cfg.replicates)]
         for g in (grid, np.unique(np.concatenate((grid, ties)))):
             out = _simulate_statistic(cfg, p, phi, g,
                                       **({"levels": levels} if with_levels else {}))
-            for i, path in enumerate(paths):
-                assert np.max(np.abs(out[0][i] - path.value(g))) <= 1e-13
+            for i, u in enumerate(rows):
+                w = phi(u) / p.n
+                want = [np.sum(w[u <= t]) for t in g]
+                assert np.max(np.abs(out[0][i] - want)) <= 1e-13
                 if with_levels:
-                    assert np.array_equal(out[2][i], path.hitting_time(levels))
+                    su = np.sort(u)
+                    cum = np.cumsum(phi(su) / p.n)
+                    want = [next((x for x, c in zip(su, cum) if c > h), math.inf)
+                            for h in levels]
+                    assert np.array_equal(out[2][i], want)
 
     @pytest.mark.parametrize("G", [0, 1, 2, 3, 4, 7, 8, 9, 64])
     def test_bins_match_searchsorted(self, G):
@@ -103,9 +108,9 @@ class TestStatisticReduction:
         u[0, :G] = grid
         u[1, :5] = (0.0, 0.5 * np.min(u), np.max(u) + 1.0, 1e300, np.inf)
         want = np.searchsorted(grid, u)
-        got = verify._bins(grid, u)
+        got = proc._bins(grid, u)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(verify._bins(grid, np.ascontiguousarray(u)), want)
+        assert np.array_equal(proc._bins(grid, np.ascontiguousarray(u)), want)
 
 
     def test_block_budget_keeps_report_bytes(self, monkeypatch):
