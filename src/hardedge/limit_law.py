@@ -13,25 +13,27 @@ m_k(t) = kappa int_0^t phi^k omega1 = kappa int_0^1 A_k(t, s) ds, m12(t1, t2)
     cov(t1, t2) = kappa int_0^1 Cov(phi(Y_s) 1[Y_s <= t1], phi(Y_s) 1[Y_s <= t2]) ds.
 
 m1 and m2 at any set of points come from one cumulative pass
-(:func:`hardedge.quadrature.cumulative`).  Second moments are read off one
-table of A_1, A_2 on fixed Gauss-Legendre nodes in s, filled the same way,
-with one vector quadrature in x per gap; no quadrature is nested.  A Gram
-matrix is a weighted sum of covariance matrices, so it is positive
-semidefinite by construction (up to the x tolerance), and it is built
-exactly symmetric.  A_k <= phi.bound^k
-also at t = +inf, so one absolute tolerance serves every column.  Every
-integral in x, of m_k and of the table, goes through
-:func:`hardedge.quadrature.integrate`, which evaluates all nodes of a round
-in one call and raises ``ArithmeticError`` when its error estimate exceeds
-its tolerance.  For positive phi, tau inverts m1 below L = m1(inf) at all
-levels together: the pass gives m1 at the doubling knots 1, 2, 4, ..., each
-level is bracketed between two knots and runs its own safeguarded Newton
-iteration, and every iterate's m1(t) = m1(knot) + int_knot^t comes from one
-batched quadrature over the levels not yet converged.  By Shorack's delta
-method the hitting time at level h behaves as -tau'(h) times the statistic
-at tau(h), so ``hitting`` reads tau', the hitting-time Gram matrix
-tau'(h1) tau'(h2) cov(tau(h1), tau(h2)) and the cross block
--tau'(h) cov(t, tau(h)) off one Gram matrix over the times and tau(levels).
+(:func:`hardedge.quadrature.cumulative`), which also integrates omega1 and
+checks it against its closed form 1 + expm1(-t)/t at the largest point; a
+residual above tolerance raises ``ArithmeticError``.  Second moments are
+read off one table of A_1, A_2 on fixed Gauss-Legendre nodes in s, filled
+the same way, with one vector quadrature in x per gap; no quadrature is
+nested.  A Gram matrix is a weighted sum of covariance matrices, so it is
+positive semidefinite by construction (up to the x tolerance), and it is
+built exactly symmetric.  A_k <= phi.bound^k also at t = +inf, so one
+absolute tolerance serves every column.  Every integral in x, of m_k and of
+the table, goes through :func:`hardedge.quadrature.integrate`, which
+evaluates all nodes of a round in one call and raises ``ArithmeticError``
+when its error estimate exceeds its tolerance.  For positive phi, tau
+inverts m1 below L = m1(inf) at all levels together: the pass gives m1 at
+the doubling knots 1, 2, 4, ..., each level is bracketed between two knots
+and runs its own safeguarded Newton iteration, and every iterate's m1(t) =
+m1(knot) + int_knot^t comes from one batched quadrature over the levels not
+yet converged.  By Shorack's delta method the hitting time at level h
+behaves as -tau'(h) times the statistic at tau(h), so ``hitting`` reads
+tau', the hitting-time Gram matrix tau'(h1) tau'(h2) cov(tau(h1), tau(h2))
+and the cross block -tau'(h) cov(t, tau(h)) off one Gram matrix over the
+times and tau(levels).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from scipy.special import gammainc
 
 from .ensemble import EnsembleParams
 from .process import TestFunction
-from .quadrature import cumulative, integrate
+from .quadrature import check_mass, cumulative, integrate
 
 __all__ = ["omega1", "omega2", "LimitLaw", "HittingLimit"]
 
@@ -129,13 +131,22 @@ class LimitLaw:
     def _moment_integrand(self, x: np.ndarray) -> np.ndarray:
         p = self.phi(x)
         w = omega1(x)
-        return np.stack((p * w, p * p * w), axis=1)
+        return np.stack((p * w, p * p * w, w), axis=1)
 
     def moments(self, points) -> np.ndarray:
         """Rows (m1, m2) at every point of ``points`` (any order, repeats and
-        +inf allowed), from one cumulative pass."""
-        return self.kappa * cumulative(self._moment_integrand, points, "m1 and m2",
-                                       **_QUAD_OPTS).T
+        +inf allowed), from one cumulative pass.
+
+        The pass also integrates omega1, checked at the largest point t
+        against its closed form 1 + expm1(-t)/t (1 at t = +inf) by
+        :func:`hardedge.quadrature.check_mass`.
+        """
+        F = cumulative(self._moment_integrand, points, "m1 and m2", **_QUAD_OPTS)
+        t = float(np.max(points, initial=0.0))
+        closed = 1.0 + math.expm1(-t) / t if 0.0 < t < math.inf else float(t > 0.0)
+        b = self.phi.bound
+        check_mass(F, points, closed, "m1 and m2: omega1", 1.0 + b + b * b, **_QUAD_OPTS)
+        return self.kappa * F[:, :2].T
 
     def m1(self, t):
         """kappa * int_0^t phi(x) omega1(x) dx; t may be +inf, or a 1-d array of

@@ -21,7 +21,8 @@ integrand that lives on [0, 30] reads as 0.  So each doubling knot 1, 2, 4,
 ... below the largest finite point that falls in a wide gap (a, b], one with
 b > 4 max(a, 1), becomes one more gap end.  Gaps within a factor 4 (a
 logspace grid, tau's knots) are integrated as they are; a gap that ends at
-+inf is mapped as above.
++inf is mapped as above.  ``check_mass`` certifies such a pass when one
+component has a closed-form integral.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-__all__ = ["integrate", "cumulative"]
+__all__ = ["integrate", "cumulative", "check_mass"]
 
 # qk21 on [-1, 1]: the 10-point Gauss nodes sit at the odd positions.
 _XK = np.array([
@@ -160,3 +161,22 @@ def cumulative(f, points, what: str, **opts) -> np.ndarray:
     ends = np.union1d(ends, knots[wide])
     starts = np.concatenate(([0.0], ends[:-1]))
     return np.cumsum(integrate(f, starts, ends, what, **opts), axis=0)[np.searchsorted(ends, t)]
+
+
+def check_mass(F, points, closed: float, what: str, scale: float, slack: float = 0.0, **opts):
+    """Certificate for F = :func:`cumulative` over ``points`` with tolerances
+    ``opts``, whose last component integrates to ``closed`` on [0, max points]
+    in closed form.  A residual above the summed gap tolerances, at most
+    epsabs per gap (the distinct points and doubling knots) plus epsrel *
+    scale (scale bounding the sum of the components' absolute integrals),
+    plus ``slack`` raises ``ArithmeticError``."""
+    if not len(F):
+        return
+    t = np.asarray(points, dtype=float)
+    top = t[np.isfinite(t)].max(initial=0.0)
+    gaps = len(np.unique(t)) + max(int(np.frexp(top)[1]), 0)
+    tol = gaps * opts["epsabs"] + opts["epsrel"] * scale + slack
+    mass = float(F[np.argmax(t), -1])
+    if not abs(mass - closed) <= tol:
+        raise ArithmeticError(f"{what} integrates to {mass!r} on [0, {float(t.max())!r}], not "
+                              f"{closed!r}: residual {abs(mass - closed):.3g} above {tol:.3g}")

@@ -310,9 +310,11 @@ def _campaign(kind: str):
 
 def _run_blocks(replicates: int, n: int, workers: int, block_fn):
     """Run block_fn(i0, i1) over blocks of replicates of n particles each,
-    optionally in a thread pool; returns results ordered by block start."""
+    in a thread pool of at most one thread per block (serially for one);
+    returns results ordered by block start."""
     size = min(_BLOCK, max(1, _BLOCK_PARTICLES // n))
     blocks = [(i0, min(i0 + size, replicates)) for i0 in range(0, replicates, size)]
+    workers = min(workers, len(blocks))
     if workers <= 1:
         return [block_fn(i0, i1) for i0, i1 in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -422,9 +424,7 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     s_j = (j + alpha)/b increasing, so f_{j+1}/f_j is proportional to
     exp(-beta (s_{j+1} - s_j) x), decreasing in x.  U_{j+1} is therefore
     below U_j in likelihood ratio, hence stochastically, and
-    Prob[U_{j+1} <= T] >= Prob[U_j <= T].  (Where the column saturates, within
-    an ulp of 1, cdf_u's rounding is not monotone, so the row may read one ulp
-    below the largest value over all those j.)
+    Prob[U_{j+1} <= T] >= Prob[U_j <= T].
     """
     phi = config.phi.build()
     ladder = tuple(config.n_ladder) or (config.params.n,)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from hardedge import ensemble as ens
 from hardedge.ensemble import EnsembleParams
@@ -562,6 +562,46 @@ class TestExactLaws:
         assert 0.0 <= c_lo <= c_hi <= 1.0
 
 
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_cdf_nondecreasing_in_j_near_one(self, alpha, b):
+        # the escape columns at T = 1e3 (theta < 0.95): the complement
+        # difference (Q(s, x_T) - Q(s, c))/P(s, c) lost the last bit near 1
+        # and dipped by an ulp 59 times over these 18 columns
+        for n in (500, 1600):
+            p = EnsembleParams(alpha, b, 0.5, n)
+            js = np.flatnonzero(ens.theta(p, np.arange(1, n + 1)) < 0.95) + 1
+            cdf = ens.cdf_u(p, js, 1e3)
+            assert np.all(np.diff(cdf) >= 0.0)
+            if (alpha, b, n) == (0.0, 1.0, 500):
+                assert cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("params", [
+        EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500),
+        EnsembleParams(alpha=-0.9, b=0.5, rho=0.5, n=1600),
+        EnsembleParams(alpha=0.5, b=2.0, rho=0.5, n=500),
+    ], ids=lambda p: f"a{p.alpha:g}-b{p.b:g}-n{p.n}")
+    def test_bulk_cdf_against_mpmath(self, params):
+        # particles with P(s, c) > 1/2 on both sides of cdf = 1/2: the
+        # complement difference below, the log form above.  Measured error at
+        # most 2.0e-15, at j = 401 of n = 1600 where P(s, c) is near 1/2
+        s = params.shapes()
+        bulk = np.flatnonzero(gammainc(s, params.c) > 0.5) + 1
+        js = bulk[np.linspace(0, len(bulk) - 1, 5).astype(int)]
+        ts = np.geomspace(1e-2, 1e4, 16)
+        got = ens.cdf_u(params, js[:, None], ts[None, :])
+        want = np.array([[cdf_mpmath(params, int(j), float(t)) for t in ts] for j in js])
+        assert np.count_nonzero(got < 0.5) > 10 and np.count_nonzero(got > 0.5) > 10
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("t", [1e4, 5e4])
+    def test_cdf_where_the_horizon_underflows(self, t):
+        # s_1 = 0.001: c e^{-beta t} underflows beyond t = 1680, yet U_1 is
+        # above t = 1e4 with probability 0.0117 (cdf_u read 1.0)
+        p = EnsembleParams(alpha=-0.999, b=1.0, rho=0.5, n=3)
+        assert ens.cdf_u(p, 1, t) == pytest.approx(cdf_mpmath(p, 1, t), rel=1e-13, abs=0.0)
+
+
 class TestExponentialApproximation:
     def test_rate_direct_arithmetic(self):
         # theta = 2 at j = 50: rate = (0.25/0.75)*(2-1) = 1/3
@@ -607,6 +647,15 @@ class TestExponentialApproximation:
             ens.tv_upper_bound(CANON, np.array([20, 80]))
         with pytest.raises(IndexError):
             ens.tv_upper_bound(CANON, 101)
+
+
+def cdf_mpmath(params: EnsembleParams, j: int, t: float) -> float:
+    """Prob[U_j <= t] = P(s, c e^{-beta t} .. c)/P(s, c) at 40 digits."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(j + params.alpha) / params.b
+        c = mpmath.mpf(params.c)
+        x_t = c * mpmath.exp(-mpmath.mpf(params.beta) * t)
+        return float(mpmath.gammainc(s, x_t, c) / mpmath.gammainc(s, 0, c))
 
 
 def tv_bound_mpmath(params: EnsembleParams, j: int) -> float:

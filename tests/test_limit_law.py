@@ -133,6 +133,23 @@ class TestMoments:
         with pytest.raises(ArithmeticError):
             law.m1(math.inf)
 
+    @pytest.mark.parametrize("points", [[0.5, 2.0], [1e-3, 30.0, 2e4], [1.0, math.inf]])
+    def test_mass_check_catches_a_perturbed_omega1(self, monkeypatch, points):
+        # the pass integrates omega1 beside phi omega1 and phi^2 omega1 and
+        # checks it against 1 + expm1(-t)/t at the largest point (1 at inf)
+        law = LimitLaw(CANON, proc.phi_rational())
+        law.moments(points)
+        inner = LimitLaw._moment_integrand
+
+        def perturbed(self, x):
+            out = inner(self, x)
+            out[:, 2] *= 1.0 + 1e-9
+            return out
+
+        monkeypatch.setattr(LimitLaw, "_moment_integrand", perturbed)
+        with pytest.raises(ArithmeticError, match="omega1 integrates to"):
+            law.moments(points)
+
 
 def _m12(law, t1, t2):
     """m12(t1, t2) = m2(t1 ^ t2) - cov(t1, t2), the cov read off the Gram

@@ -301,32 +301,47 @@ class TestMeanExact:
                 mean_exact_counting(p, t), abs=1e-9
             )
 
-    def test_interleaved_blocks_match_one_block(self, monkeypatch):
-        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500)
-        for t in (2.0, math.inf):
-            whole = mean_exact(p, proc.phi_rational(), t)
-            with monkeypatch.context() as m:
-                m.setattr(proc, "_MEAN_BLOCK", 64)  # 8 blocks, the last one short
-                assert mean_exact(p, proc.phi_rational(), t) == pytest.approx(
-                    whole, rel=1e-13, abs=0.0)
-        with monkeypatch.context() as m:
-            m.setattr(proc, "_MEAN_BLOCK", 64)
-            assert mean_exact(p, proc.phi_one(), 2.0) == pytest.approx(
-                mean_exact_counting(p, 2.0), abs=1e-9)
-
     @pytest.mark.parametrize("lo, hi", [(1500.0, 1600.0), (8000.0, 9000.0), (2e4, 3e4)])
     def test_skipped_particles_underflow(self, lo, hi, density_u):
         # particles left unevaluated are exactly those whose density underflows
         # to 0 at every node; the others match density_u (u_scale = 1500 here)
         p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=2000)
-        phi = proc.phi_rational()
         x = np.linspace(lo, hi, 42)
-        got = proc._weighted_densities(p, phi, p.shapes())(x)
+        got = proc._weighted_densities(p, p.shapes())(x)
         j = np.arange(1, p.n + 1)
-        ref = phi(x)[:, None] * density_u(p, j[None, :], x[:, None])
+        ref = density_u(p, j[None, :], x[:, None])
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert 0 < np.count_nonzero(got.any(axis=0)) < p.n
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_largest_n_at_infinity(self):
+        # the paper's largest n at t = inf, in a fraction of a second
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
+        assert mean_exact(p, proc.phi_one(), math.inf) == pytest.approx(1.0, abs=1e-10)
+        assert mean_exact(p, proc.phi_exp_decay(1.0), math.inf) == pytest.approx(
+            exp_decay_mean_oracle(p, 1.0, math.inf), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("t", [2.0, np.array([0.5, 40.0]), math.inf])
+    def test_certificate_catches_a_missing_particle(self, monkeypatch, t):
+        # without the last particle's density (the one with the most mass
+        # below any t) the mean density misses up to 1/n of its closed form
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=500)
+        densities = proc._weighted_densities
+
+        def missing_last(params, s):
+            f = densities(params, s)
+
+            def integrand(x):
+                out = f(x)
+                out[:, -1] = 0.0
+                return out
+
+            return integrand
+
+        mean_exact(p, proc.phi_rational(), t)
+        monkeypatch.setattr(proc, "_weighted_densities", missing_last)
+        with pytest.raises(ArithmeticError, match="mean density integrates to"):
+            mean_exact(p, proc.phi_rational(), t)
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # one Gauss-Kronrod rule on [0, 3.9], never subdivided (the gap is too

@@ -140,6 +140,22 @@ class TestStatisticReduction:
                         for c in configs] == want
             assert max(seen) == rows
 
+    @pytest.mark.parametrize("workers, replicates, threads", [
+        (1, 300, None), (3, 100, None), (3, 300, 3), (2, 900, 2), (3, 200, 2)])
+    def test_no_more_threads_than_blocks(self, monkeypatch, workers, replicates, threads):
+        # 128 replicates per block at n = 20; one block runs serially
+        pools = []
+
+        class Recording(verify.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
+        starts = verify._run_blocks(replicates, SMALL.n, workers, lambda i0, i1: (i0, i1))
+        assert starts == [(i0, min(i0 + 128, replicates)) for i0 in range(0, replicates, 128)]
+        assert pools == ([] if threads is None else [threads])
+
     def test_no_spread_gives_no_z_score(self):
         # a constant column (all replicates equal) has no skewness, kurtosis
         # or z-score; its gate fails instead of dividing by zero
@@ -175,10 +191,10 @@ class TestCltCampaign:
         report = run_clt(cfg)
         assert report.passed, report.failures()
 
-    def test_exact_centering_is_one_pass_per_block(self, monkeypatch):
+    def test_exact_centering_is_one_pass(self, monkeypatch):
         # a count-based guard, not a timing: E S on the whole grid comes from
-        # one cumulative pass per interleaved block of particles, not one
-        # quadrature per grid point
+        # one cumulative pass over the mean density, not one quadrature per
+        # grid point or per block of particles
         passes = []
         integrate = quadrature.integrate
 
@@ -187,11 +203,10 @@ class TestCltCampaign:
             return integrate(f, a, b, what, **opts)
 
         monkeypatch.setattr(quadrature, "integrate", counted)
-        monkeypatch.setattr(proc, "_MEAN_BLOCK", 64)  # 4 blocks at n = 200
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 200),
                                grid=(0.5, 1.0, 2.0, 4.0), replicates=20, seed=1)
         run_clt(cfg)
-        assert passes.count("mean_exact") == 4
+        assert passes.count("mean_exact") == 1
 
     def test_empirical_centering_flag(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=50,
