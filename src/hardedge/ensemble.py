@@ -28,9 +28,10 @@ times the Mills ratio, which meet near 0.355).  A sampler call evaluates ln P
 only on a bracket of O(sqrt(c)) indices around the edge.  The module also
 evaluates the exact per-particle CDF, the log-normalizer of the per-particle
 density (for :func:`hardedge.process.mean_exact`), and the exponential
-approximation's total-variation diagnostics: the bound as a positive series
-and the exact distance in closed form, at the one point where the two
-densities cross (the test suite checks it against quadrature).
+approximation's total-variation diagnostics: the bound as a positive series,
+whose entries each stop at their own term count (sum_j K_j term updates for
+a batch), and the exact distance in closed form, at the one point where the
+two densities cross (the test suite checks it against quadrature).
 
 Reproducibility: configuration r (its stream) reads its first round and a
 reservoir of retry uniforms from its own range of draws of the PCG64 stream
@@ -39,7 +40,9 @@ refills from its own spawned streams; retry round i gives every rejected
 particle min(2^i, 32) candidates and keeps the first accepted (details in
 ``_sample``).  A configuration is therefore bit-identical for a fixed (seed,
 stream) no matter how sampling work is batched or scheduled.  Seeds and
-streams must be integers in [0, 2^64).
+streams must be integers in [0, 2^64), and the sampled particle indices a
+1-D run of integers in [1, n] in nondecreasing order (the gamma class is
+then a prefix of the columns); anything else raises ValueError before a draw.
 """
 
 from __future__ import annotations
@@ -298,16 +301,17 @@ def _uniforms(entropy, offset: int, out: np.ndarray):
 
 
 def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
-    """U over the particles ``js`` (columns, ascending, repeats allowed), one
-    row per stream, and three first-round counts: exponential rejections,
-    gamma truncation rejections among Marsaglia-Tsang acceptances, and those
-    acceptances per gamma column.
+    """U over the particles ``js`` (columns: integers in [1, n], nondecreasing,
+    else ValueError), one row per stream, and three first-round counts:
+    exponential rejections, gamma truncation rejections among Marsaglia-Tsang
+    acceptances, and those acceptances per gamma column.
 
     U is a view of ``workspace`` (a fresh one if None), or of a larger copy
-    when refills outgrow it, valid until the workspace's next use.  Every row reads the PCG64 stream seeded by ``seed``.  Its B draws
-    are one uniform per column (exponential proposals, gamma normals), one
-    acceptance uniform per exponential column, one per gamma column, one
-    uniform per gamma column of shape s < 1, then a reservoir of retry slots,
+    when refills outgrow it, valid until the workspace's next use.  Every row
+    reads the PCG64 stream seeded by ``seed``.  Its B draws are one uniform
+    per column (exponential proposals, gamma normals), one acceptance uniform
+    per exponential column, one per gamma column, one uniform per gamma
+    column of shape s < 1, then a reservoir of retry slots,
     three uniforms each: the row of stream r reads draws [r B, (r + 1) B), so
     a run of consecutive streams is one generator call.  The proposals
     overwrite the first m draws of each row with U.  Every retry round runs
@@ -322,8 +326,14 @@ def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
     therefore depends only on (params, js, seed, its stream).  ln P(s, c) is
     evaluated only on the class-edge bracket.
     """
-    shapes = (np.asarray(js, dtype=float) + params.alpha) / params.b
-    m, k = len(shapes), len(_classes(params, js)[1])
+    ja = np.asarray(js)
+    if not (ja.ndim == 1 and np.issubdtype(ja.dtype, np.integer)
+            and np.all(ja[:1] >= 1) and np.all(ja[-1:] <= params.n)
+            and np.all(ja[1:] >= ja[:-1])):
+        raise ValueError(f"particle columns must be integers in [1, {params.n}] "
+                         f"in nondecreasing order, got {js!r}")
+    shapes = (ja + params.alpha) / params.b
+    m, k = len(shapes), len(_classes(params, ja)[1])
     me = m - k
     # js ascends, so the gamma class is the first k columns
     gam, exp = slice(0, k), slice(k, m)
@@ -491,25 +501,48 @@ def tv_upper_bound(params: EnsembleParams, j):
 
     with s = s_j, T_0 = 1 and T_k = T_{k-1} c/(s+k).  The terms are positive
     (the equal 1 - (s-c) e^c c^{-s} gamma(s, c) cancels) and unimodal in k, so
-    a term below 1e-17 of its running total is past the mode and adds nothing:
-    each entry is independent of the rest of the batch.  The bound dominates
-    the exact TV distance and decays like 1/(n rho^(2b) (theta-1)^2).
+    an entry whose term falls to 1e-17 of its running total is past the mode
+    and converged.  The bound dominates the exact TV distance and decays like
+    1/(n rho^(2b) (theta-1)^2).
+
+    Cost: sum_j K_j term updates, K_j being entry j's own term count (it
+    falls as s_j grows).  The entries run sorted by s, slowest first, on a
+    live prefix cut back to one past the last unconverged entry every 8
+    terms.  A converged entry left in the prefix adds terms of at most 1e-17
+    of its total, below half an ulp of it, so they round away: each entry
+    equals a scalar call bit for bit, whatever the batch.
     """
     _theta_above_one(params, j)
-    s = (np.asarray(j, dtype=float) + params.alpha) / params.b
+    s_in = (np.asarray(j, dtype=float) + params.alpha) / params.b
+    order = np.argsort(s_in, axis=None, kind="stable")
     c = params.c
-    t = np.ones_like(s)
-    term = 1.0 / (s + 1.0)
-    total = term
+    # rows s, t, term, total and s + k; the names view the live prefix
+    work = np.empty((5, len(order)))
+    s, t, term, total, sk = work
+    s[:] = s_in.ravel()[order]
+    t.fill(1.0)
+    np.divide(1.0, s + 1.0, out=term)
+    total[:] = term
     k = 0
-    while np.any(term > 1e-17 * total):
+    while True:
+        if k % 8 == 0 or k >= _TV_MAX_TERMS:
+            live = np.flatnonzero(term > 1e-17 * total)
+            if not len(live):
+                break
+            if k >= _TV_MAX_TERMS:
+                raise ArithmeticError("TV bound series did not converge; this is a bug")
+            s, t, term, total, sk = work[:, :live[-1] + 1]
         k += 1
-        if k > _TV_MAX_TERMS:
-            raise ArithmeticError("TV bound series did not converge; this is a bug")
-        t = t * c / (s + k)
-        term = (k + 1) * t / (s + k + 1)
-        total = total + term
-    out = c / s * total
+        # t = t c / (s + k), term = (k + 1) t / (s + k + 1), rounded as written
+        np.add(s, k, out=sk)
+        t *= c
+        t /= sk
+        sk += 1
+        np.multiply(t, k + 1, out=term)
+        term /= sk
+        total += term
+    out = np.empty(s_in.shape)
+    out.reshape(-1)[order] = c / work[0] * work[3]
     return float(out) if np.ndim(out) == 0 else out
 
 

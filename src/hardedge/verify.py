@@ -168,6 +168,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.lemma_replicates < 1:
             raise ValueError(f"lemma_replicates must be >= 1, got {self.lemma_replicates}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
     def to_dict(self) -> dict:
         # `workers` is an execution knob with no effect on the results, so it
@@ -424,7 +426,8 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     s_j = (j + alpha)/b increasing, so f_{j+1}/f_j is proportional to
     exp(-beta (s_{j+1} - s_j) x), decreasing in x.  U_{j+1} is therefore
     below U_j in likelihood ratio, hence stochastically, and
-    Prob[U_{j+1} <= T] >= Prob[U_j <= T].
+    Prob[U_{j+1} <= T] >= Prob[U_j <= T].  A rung with no such j has
+    nothing to check and raises ValueError, as in ``run_tv_decay``.
     """
     phi = config.phi.build()
     ladder = tuple(config.n_ladder) or (config.params.n,)
@@ -437,7 +440,10 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
         p = replace(config.params, n=int(n))
         th = ens.theta(p, np.arange(1, p.n + 1))
         last = int(np.count_nonzero(th < 1.0 - config.delta))
-        mx = ens.cdf_u(p, last, T) if last else 0.0
+        if not last:
+            raise ValueError(f"no particles with theta < 1-delta at n={n}; "
+                             "increase n or decrease delta")
+        mx = ens.cdf_u(p, last, T)
         exact_col.append(mx)
         rows.append(_row("escape_exact_max_cdf", n=n, arg1=T, estimate=mx, target=0.0))
         retained = float(np.count_nonzero(th > 1.0)) / p.n

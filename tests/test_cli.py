@@ -292,6 +292,21 @@ class TestVerifyCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("campaign, delta, message", [
+        ("escape", "nan", "delta must be finite"),
+        ("escape", "1.5", "no particles with theta < 1-delta at n=400"),
+        ("tv_decay", "nan", "delta must be finite"),
+        ("tv_decay", "3", "no particles with theta > 1+delta at n=400"),
+    ])
+    def test_delta_leaving_no_particle_exits_2(self, tmp_path, capsys, campaign, delta, message):
+        # theta_j = j / 100 at n = 400: no j has theta < -0.5 or theta > 4
+        out = tmp_path / "x.json"
+        code = main(["verify", "--campaign", campaign, "--n", "400", "--delta", delta,
+                     "--replicates", "4", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_escape_mass_target_is_the_exact_mean(self, tmp_path):
         # the exact mean at t = +inf read 9.1e-15 for 0.2330, so this gate
         # failed with z = 319 against a correct sampler

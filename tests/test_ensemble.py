@@ -462,6 +462,27 @@ class TestRejectionSampler:
         with pytest.raises(ArithmeticError):
             ens.sample_batch(CANON, 1, range(4))
 
+    @pytest.mark.parametrize("js", [
+        np.r_[1:21, 36, 22:36, 21, 37:101],    # j = 21 and 36 swapped
+        np.arange(100, 0, -1),
+        np.arange(0, 100),
+        np.arange(2, 102),
+        np.arange(1, 101, dtype=float),
+        np.arange(1, 101).reshape(10, 10),
+    ], ids=["swapped", "reversed", "zero", "above_n", "float", "2d"])
+    def test_columns_must_be_nondecreasing_indices(self, monkeypatch, js):
+        # the gamma class is taken as a prefix of the columns: out of order,
+        # its columns got the wrong proposal and came back negative, or the
+        # call raised ArithmeticError after a divide-by-zero warning
+        def no_draws(*args):
+            raise AssertionError("drew uniforms for invalid columns")
+
+        monkeypatch.setattr(ens, "_uniforms", no_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nondecreasing"):
+                ens._sample(CANON, js, 1, range(64))
+
     @staticmethod
     def _check_classes(params, js):
         for got, want in zip(ens._classes(params, js), classes_elementwise(params, js)):
@@ -666,6 +687,20 @@ def tv_bound_mpmath(params: EnsembleParams, j: int) -> float:
         return float(1 - (s - c) * mpmath.exp(c) * c ** (-s) * mpmath.gammainc(s, 0, c))
 
 
+def tv_series_scalar(params: EnsembleParams, j: int):
+    """The TV series of particle j in scalar double arithmetic: the terms it
+    adds before one falls to 1e-17 of its running total, and the bound."""
+    s, c = (j + params.alpha) / params.b, params.c
+    t, term, k = 1.0, 1.0 / (s + 1.0), 0
+    total = term
+    while term > 1e-17 * total:
+        k += 1
+        t = t * c / (s + k)
+        term = (k + 1) * t / (s + k + 1)
+        total = total + term
+    return k, c / s * total
+
+
 class TestTvSeries:
     @pytest.mark.parametrize("n", [100, 1000, 10_000, 100_000])
     def test_against_mpmath_on_the_ladder(self, n):
@@ -714,3 +749,49 @@ class TestTvSeries:
         monkeypatch.setattr(ens, "_TV_MAX_TERMS", 1)
         with pytest.raises(ArithmeticError):
             ens.tv_upper_bound(CANON, 80)
+
+    def test_shuffled_batch_with_repeats_equals_scalar_calls(self):
+        # each entry stops at its own term count, so neither the order nor
+        # the company of an entry changes its bits
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
+        js = np.flatnonzero(ens.theta(p, np.arange(1, p.n + 1)) > 1.1) + 1
+        ladder = ens.tv_upper_bound(p, js)
+        rng = np.random.default_rng(11)
+        pick = rng.integers(0, len(js), size=(200, 300))
+        pick[0, :2] = 0, len(js) - 1                # the slowest and fastest entries
+        bounds = ens.tv_upper_bound(p, js[pick])
+        assert bounds.shape == pick.shape
+        assert np.array_equal(bounds, ladder[pick])
+        for r, c in [(0, 0), (0, 1), *zip(rng.integers(0, 200, 40), rng.integers(0, 300, 40))]:
+            assert bounds[r, c] == ens.tv_upper_bound(p, int(js[pick[r, c]]))
+
+    @pytest.mark.parametrize("params", [CANON, *SPREAD], ids=_params_id)
+    def test_equals_the_scalar_recurrence_bit_for_bit(self, params):
+        # the batch rounds every operation as the one-entry recurrence does
+        th = ens.theta(params, np.arange(1, params.n + 1))
+        js = np.flatnonzero(th > 1.0)[::-1][::max(1, params.n // 200)] + 1
+        want = [tv_series_scalar(params, int(j))[1] for j in js]
+        assert np.array_equal(ens.tv_upper_bound(params, js), want)
+
+    def test_empty_batch(self):
+        for js in (np.array([], dtype=int), np.empty((0, 3), dtype=int)):
+            bounds = ens.tv_upper_bound(CANON, js)
+            assert isinstance(bounds, np.ndarray) and bounds.shape == js.shape
+
+    def test_term_cap_binds_only_the_entries_that_reach_it(self, monkeypatch):
+        # j = 26 (theta = 1.04) needs the most terms at n = 100, j = 100 the fewest
+        slow, fast = tv_series_scalar(CANON, 26)[0], tv_series_scalar(CANON, 100)[0]
+        assert fast < slow
+        cap = (fast + slow) // 2
+        quick = [j for j in range(26, 101) if tv_series_scalar(CANON, j)[0] <= cap]
+        want = ens.tv_upper_bound(CANON, np.array(quick))
+        monkeypatch.setattr(ens, "_TV_MAX_TERMS", cap)
+        with pytest.raises(ArithmeticError):
+            ens.tv_upper_bound(CANON, np.arange(26, 101))
+        assert np.array_equal(ens.tv_upper_bound(CANON, np.array(quick)), want)
+        # the cap is exact: K terms pass, K - 1 do not
+        monkeypatch.setattr(ens, "_TV_MAX_TERMS", slow)
+        ens.tv_upper_bound(CANON, np.arange(26, 101))
+        monkeypatch.setattr(ens, "_TV_MAX_TERMS", slow - 1)
+        with pytest.raises(ArithmeticError):
+            ens.tv_upper_bound(CANON, np.arange(26, 101))

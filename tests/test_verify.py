@@ -246,6 +246,18 @@ class TestEscapeCampaign:
         assert "total_mass_is_one" in names
         assert report.passed, report.failures()
 
+    def test_rung_without_escaping_particles_raises(self):
+        # n = 3: c = 0.75 and theta_1 = 4/3, so no particle has theta < 0.9
+        cfg = ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 100),
+                               n_ladder=(3, 100), delta=0.1, replicates=2, seed=0)
+        with pytest.raises(ValueError, match="theta < 1-delta at n=3"):
+            run_escape(cfg)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 100), delta=delta)
+
 
     @pytest.mark.parametrize("alpha,b,rho,n,delta,T", [
         (0.0, 1.0, 0.5, 100_000, 0.2, 10.0),
