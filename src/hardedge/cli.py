@@ -3,9 +3,11 @@ and run verification campaigns.
 
 Exit codes: 0 success (and all campaign assertions pass), 1 campaign
 assertion failure, 2 configuration/validation error, 3 a numerical routine
-missed its stated tolerance (``ArithmeticError``).  Every run logs its
-fully resolved configuration (defaults and seed included) into the output,
-so a rerun from the header reproduces the run byte for byte.
+missed its stated tolerance (``ArithmeticError``).  ``verify`` passes on
+only the knob flags given, and one the campaign does not read exits 2
+unless it repeats the default.  Every run logs its resolved configuration
+(defaults and seed included; for ``verify``, every knob the campaign reads)
+into the output, so a rerun from the header reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .verify import (
     CAMPAIGN_KINDS,
     ExperimentConfig,
     PhiSpec,
-    SCHEMA_VERSION,
     run_campaign,
 )
 
@@ -67,6 +67,29 @@ def _add_ensemble_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
+# verify's knob flags: (flag, ExperimentConfig field, parser of the text;
+# ``bool`` for a switch).  Only flags given reach the config, so each knob's
+# one default is on ExperimentConfig, which rejects knobs a campaign ignores.
+_KNOB_FLAGS = (
+    ("--phi", "phi", PhiSpec.parse),
+    ("--grid", "grid", parse_grid),
+    ("--levels", "levels", parse_grid),
+    ("--replicates", "replicates", int),
+    ("--threads", "workers", int),
+    ("--z-max", "z_max", float),
+    ("--delta", "delta", float),
+    ("--horizon", "horizon", float),
+    ("--n-ladder", "n_ladder", _parse_ladder),
+    ("--tv-threshold", "tv_threshold", float),
+    ("--escape-threshold", "escape_threshold", float),
+    ("--slope-max", "slope_max", float),
+    ("--cross-times", "cross_times", parse_grid),
+    ("--lemma-horizon", "lemma_levels_horizon", float),
+    ("--lemma-replicates", "lemma_replicates", int),
+    ("--center-empirical", "center_empirical", bool),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing does not change it."""
@@ -94,22 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run a Monte Carlo verification campaign")
     _add_ensemble_args(vp)
     vp.add_argument("--campaign", choices=CAMPAIGN_KINDS, required=True)
-    vp.add_argument("--phi", type=str, default="one")
-    vp.add_argument("--grid", type=str, default="")
-    vp.add_argument("--levels", type=str, default="")
-    vp.add_argument("--replicates", type=int, default=100)
-    vp.add_argument("--threads", type=int, default=1)
-    vp.add_argument("--z-max", type=float, default=5.0)
-    vp.add_argument("--delta", type=float, default=0.1)
-    vp.add_argument("--horizon", type=float, default=10.0)
-    vp.add_argument("--n-ladder", type=str, default="")
-    vp.add_argument("--tv-threshold", type=float, default=0.05)
-    vp.add_argument("--escape-threshold", type=float, default=1e-3)
-    vp.add_argument("--slope-max", type=float, default=-0.8)
-    vp.add_argument("--cross-times", type=str, default="")
-    vp.add_argument("--lemma-horizon", type=float, default=50.0)
-    vp.add_argument("--lemma-replicates", type=int, default=1000)
-    vp.add_argument("--center-empirical", action="store_true")
+    # argparse converts numbers itself, so its messages name a bad flag
+    how = {bool: {"action": "store_true"}, int: {"type": int}, float: {"type": float}}
+    for flag, field, parse in _KNOB_FLAGS:
+        vp.add_argument(flag, dest=field, default=argparse.SUPPRESS, **how.get(parse, {}))
     vp.add_argument("--out", type=Path, required=True)
     vp.add_argument("--format", choices=("csv", "json"), default="json")
     return ap
@@ -182,7 +193,7 @@ def _cmd_limit(args) -> int:
     rows = _limit_rows(law, grid, levels)
     if args.format == "json":
         payload = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": 1,  # the limit table's own format
             "params": params.to_dict(),
             "phi": spec.to_dict(),
             "grid": [float(t) for t in grid],
@@ -204,37 +215,17 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = _params_from_args(args)
-    config = ExperimentConfig(
-        kind=args.campaign,
-        params=params,
-        phi=PhiSpec.parse(args.phi),
-        grid=parse_grid(args.grid) if args.grid else (),
-        levels=parse_grid(args.levels) if args.levels else (),
-        replicates=args.replicates,
-        seed=args.seed,
-        workers=args.threads,
-        z_max=args.z_max,
-        delta=args.delta,
-        horizon=args.horizon,
-        n_ladder=_parse_ladder(args.n_ladder) if args.n_ladder else (),
-        tv_threshold=args.tv_threshold,
-        escape_threshold=args.escape_threshold,
-        slope_max=args.slope_max,
-        cross_times=parse_grid(args.cross_times) if args.cross_times else (),
-        lemma_levels_horizon=args.lemma_horizon,
-        lemma_replicates=args.lemma_replicates,
-        center_empirical=args.center_empirical,
-    )
-    t0 = time.perf_counter()
+    knobs = {field: parse(getattr(args, field))
+             for _flag, field, parse in _KNOB_FLAGS if hasattr(args, field)}
+    config = ExperimentConfig(kind=args.campaign, params=_params_from_args(args),
+                              seed=args.seed, **knobs)
     report = run_campaign(config)
-    elapsed = time.perf_counter() - t0
     args.out.write_text(report.to_json() if args.format == "json" else report.to_csv())
     for a in report.assertions:
         status = "ok" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}", file=sys.stderr)
     print(f"campaign {args.campaign}: {'PASS' if report.passed else 'FAIL'} "
-          f"({elapsed:.1f} s)", file=sys.stderr)
+          f"({report.wall_time_s:.1f} s)", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -148,7 +148,8 @@ class EnsembleParams:
 
 def _check_index(params: EnsembleParams, j) -> np.ndarray:
     ja = np.asarray(j)
-    if not np.issubdtype(ja.dtype, np.integer):
+    # an empty index is an integer index, though np.asarray([]) is float64
+    if ja.size and not np.issubdtype(ja.dtype, np.integer):
         raise IndexError(f"particle index must be an integer, got {j!r}")
     if np.any(ja < 1) or np.any(ja > params.n):
         raise IndexError(f"particle index out of range [1, {params.n}]: {j!r}")

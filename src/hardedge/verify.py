@@ -34,7 +34,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -58,14 +58,12 @@ __all__ = [
     "run_moments",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Replicates per block: at most _BLOCK, and at most _BLOCK_PARTICLES
 # particles (but one replicate at least), so block temporaries stay bounded
 # as n grows.
 _BLOCK = 128
 _BLOCK_PARTICLES = 2**20
-
-CAMPAIGN_KINDS = ("clt", "hitting", "escape", "centering_rate", "tv_decay", "moments")
 
 
 @dataclass(frozen=True)
@@ -133,14 +131,17 @@ def _is_number(s: str) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Campaign configuration; unused knobs are ignored by other kinds."""
+    """Campaign configuration.  ``params``, ``seed`` and ``workers`` are common
+    to every kind; of the other knobs each kind reads those it declares at its
+    ``@_campaign`` registration, and construction raises ValueError if any
+    other knob is off its default.  ``to_dict`` records just what is read."""
 
     kind: str
     params: EnsembleParams
     phi: PhiSpec = PhiSpec()
     grid: tuple = ()
     levels: tuple = ()
-    replicates: int = 2
+    replicates: int = 100
     seed: int = 0
     workers: int = 1
     z_max: float = 5.0
@@ -159,6 +160,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(f"unknown campaign kind {self.kind!r}; expected one of {CAMPAIGN_KINDS}")
+        reads = _RUNNERS[self.kind].reads
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is f.default or f.name in ("kind", "params", "seed", "workers", *reads):
+                continue
+            if self._record(f.name, value) != self._record(f.name, f.default):
+                raise ValueError(f"the {self.kind} campaign does not read {f.name}; it reads "
+                                 f"{', '.join(reads)}, besides params, seed and workers")
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         for name in ("grid", "levels", "cross_times"):
@@ -171,32 +180,22 @@ class ExperimentConfig:
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
+    def _record(self, name: str, value):
+        """``value`` of field ``name`` as a report records it: typed like the
+        field's default, tuples as lists of floats (``n_ladder``: of ints)."""
+        if hasattr(value, "to_dict"):
+            return value.to_dict()
+        default = self.__dataclass_fields__[name].default
+        if isinstance(default, tuple):
+            item = {"n_ladder": int, "moment_orders": list}.get(name, float)
+            return [item(v) for v in value]
+        return value if default is MISSING else type(default)(value)
+
     def to_dict(self) -> dict:
-        # `workers` is an execution knob with no effect on the results, so it
-        # is deliberately left out: reports must be byte-identical for a fixed
-        # (config, seed) regardless of worker count, and a rerun from this
-        # header reproduces the run with any parallelism.
-        return {
-            "kind": self.kind,
-            "params": self.params.to_dict(),
-            "phi": self.phi.to_dict(),
-            "grid": [float(t) for t in self.grid],
-            "levels": [float(h) for h in self.levels],
-            "replicates": int(self.replicates),
-            "seed": int(self.seed),
-            "z_max": float(self.z_max),
-            "delta": float(self.delta),
-            "horizon": float(self.horizon),
-            "n_ladder": [int(n) for n in self.n_ladder],
-            "tv_threshold": float(self.tv_threshold),
-            "escape_threshold": float(self.escape_threshold),
-            "slope_max": float(self.slope_max),
-            "cross_times": [float(t) for t in self.cross_times],
-            "lemma_levels_horizon": float(self.lemma_levels_horizon),
-            "lemma_replicates": int(self.lemma_replicates),
-            "moment_orders": [list(m) for m in self.moment_orders],
-            "center_empirical": bool(self.center_empirical),
-        }
+        # `workers` does not change the results, so it is left out: a report's
+        # bytes are the same for any worker count, and so is a rerun from it.
+        return {name: self._record(name, getattr(self, name))
+                for name in ("kind", "params", "seed", *_RUNNERS[self.kind].reads)}
 
 
 _ROW_FIELDS = ("record", "n", "arg1", "arg2", "estimate", "target", "se", "z")
@@ -289,9 +288,10 @@ def _z_assertion(name: str, zs: list, z_max: float) -> dict:
 _RUNNERS = {}
 
 
-def _campaign(kind: str):
+def _campaign(kind: str, reads: tuple):
     """Register a campaign body, config -> (rows, assertions), as the runner
-    for ``kind``; the runner checks the kind, times the body and assembles
+    for ``kind``, which reads the config knobs ``reads`` besides params, seed
+    and workers; the runner checks the kind, times the body and assembles
     the report."""
     def register(body):
         @functools.wraps(body)
@@ -305,6 +305,7 @@ def _campaign(kind: str):
                 passed=all(a["passed"] for a in assertions),
                 wall_time_s=time.perf_counter() - t0,
             )
+        run.reads = reads
         _RUNNERS[kind] = run
         return run
     return register
@@ -364,7 +365,7 @@ def _skew_exkurt(x: np.ndarray):
     return skew, kurt - 3.0
 
 
-@_campaign("clt")
+@_campaign("clt", reads=("phi", "grid", "replicates", "z_max", "center_empirical"))
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Scaled centered statistic on a time grid vs the limit covariance,
     plus marginal Gaussianity diagnostics (skewness, excess kurtosis)."""
@@ -415,7 +416,8 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     return rows, [_z_assertion("all_z_within_threshold", zs, config.z_max)]
 
 
-@_campaign("escape")
+@_campaign("escape", reads=("phi", "n_ladder", "delta", "horizon", "escape_threshold",
+                              "replicates", "z_max"))
 def run_escape(config: ExperimentConfig) -> ExperimentReport:
     """Low-index particles leave every fixed window: exact CDF ladder plus a
     Monte Carlo check that the statistic concentrates on the limit mean.
@@ -496,7 +498,7 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     return rows, assertions
 
 
-@_campaign("tv_decay")
+@_campaign("tv_decay", reads=("n_ladder", "delta", "tv_threshold"))
 def run_tv_decay(config: ExperimentConfig) -> ExperimentReport:
     """Worst-case TV bound between high-index particles and their exponential
     approximants, tabulated along an n-ladder."""
@@ -535,7 +537,7 @@ def run_tv_decay(config: ExperimentConfig) -> ExperimentReport:
     return rows, assertions
 
 
-@_campaign("centering_rate")
+@_campaign("centering_rate", reads=("phi", "grid", "n_ladder", "slope_max"))
 def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
     """Decay of sup_t |E S(t) - m1(t)| along an n-ladder, with a fitted
     log-log exponent."""
@@ -573,7 +575,8 @@ def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
     return rows, assertions
 
 
-@_campaign("hitting")
+@_campaign("hitting", reads=("phi", "levels", "cross_times", "replicates", "z_max",
+                               "n_ladder", "lemma_levels_horizon", "lemma_replicates"))
 def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     """Hitting-time fluctuations vs their limit covariance, the joint
     cross-covariance with the statistic, and the divergence at the top level."""
@@ -726,7 +729,7 @@ def _isserlis(cov: np.ndarray, idx: list) -> float:
     return total
 
 
-@_campaign("moments")
+@_campaign("moments", reads=("phi", "grid", "moment_orders", "replicates", "z_max"))
 def run_moments(config: ExperimentConfig) -> ExperimentReport:
     """Joint moments of the scaled centered statistic vs Gaussian targets
     computed from the limit covariance by Isserlis pairing."""
@@ -770,6 +773,9 @@ def run_moments(config: ExperimentConfig) -> ExperimentReport:
                          estimate=est, target=target, se=se, z=z))
         zs.append((label, z))
     return rows, [_z_assertion("all_moment_z_within_threshold", zs, config.z_max)]
+
+
+CAMPAIGN_KINDS = tuple(_RUNNERS)
 
 
 def run_campaign(config: ExperimentConfig) -> ExperimentReport:

@@ -14,7 +14,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "campaign", "config", "rows", "assertions", "passed"],
     "properties": {
-        "schema_version": {"const": 1},
+        "schema_version": {"const": 2},
         "campaign": {"type": "string"},
         "config": {"type": "object"},
         "passed": {"type": "boolean"},
@@ -299,13 +299,44 @@ class TestVerifyCommand:
         ("tv_decay", "3", "no particles with theta > 1+delta at n=400"),
     ])
     def test_delta_leaving_no_particle_exits_2(self, tmp_path, capsys, campaign, delta, message):
-        # theta_j = j / 100 at n = 400: no j has theta < -0.5 or theta > 4
+        # theta_j = j / 100 at n = 400: no j has theta < -0.5 or theta > 4;
+        # tv_decay reads no replicate count
         out = tmp_path / "x.json"
+        replicates = ["--replicates", "4"] if campaign == "escape" else []
         code = main(["verify", "--campaign", campaign, "--n", "400", "--delta", delta,
-                     "--replicates", "4", "--out", str(out)])
+                     *replicates, "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("campaign, flag, value, field", [
+        ("tv_decay", "--replicates", "10", "replicates"),
+        ("tv_decay", "--phi", "rational", "phi"),
+        ("escape", "--grid", "1", "grid"),
+        ("clt", "--n-ladder", "100,200", "n_ladder"),
+    ])
+    def test_flag_the_campaign_does_not_read_exits_2(self, tmp_path, capsys, campaign, flag,
+                                                     value, field):
+        out = tmp_path / "x.json"
+        code = main(["verify", "--campaign", campaign, "--n", "400", flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"the {campaign} campaign does not read {field};" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_number_names_its_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--campaign", "clt", "--grid", "1", "--replicates", "x",
+                  "--out", str(tmp_path / "x.json")])
+        assert exit_.value.code == 2
+        assert "argument --replicates: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_replicates_default_to_100(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["verify", "--campaign", "clt", "--n", "10", "--grid", "1",
+                     "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["replicates"] == 100 and "workers" not in config
 
     def test_escape_mass_target_is_the_exact_mean(self, tmp_path):
         # the exact mean at t = +inf read 9.1e-15 for 0.2330, so this gate

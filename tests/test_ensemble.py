@@ -128,6 +128,16 @@ class TestTheta:
         with pytest.raises(IndexError):
             ens.theta(CANON, j)
 
+    @pytest.mark.parametrize("name, args", [
+        ("theta", ()), ("cdf_u", (2.0,)), ("exp_rate", ()), ("tv_upper_bound", ()),
+    ])
+    def test_empty_list_is_an_empty_index(self, name, args):
+        # np.asarray([]) is float64; an empty list still names no particle
+        out = getattr(ens, name)(CANON, [], *args)
+        assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+        with pytest.raises(IndexError, match="must be an integer"):
+            getattr(ens, name)(CANON, [1.0], *args)
+
 
 class TestSampling:
     def test_radius_recovery_in_unit_interval(self):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,28 @@ def finite_z_rows(report):
     return [r for r in report.rows if r["z"] is not None]
 
 
+# The knobs each campaign reads besides params, seed and workers, and a
+# non-default value of every knob.
+READS = {
+    "clt": {"phi", "grid", "replicates", "z_max", "center_empirical"},
+    "escape": {"phi", "n_ladder", "delta", "horizon", "escape_threshold", "replicates", "z_max"},
+    "tv_decay": {"n_ladder", "delta", "tv_threshold"},
+    "centering_rate": {"phi", "grid", "n_ladder", "slope_max"},
+    "hitting": {"phi", "levels", "cross_times", "replicates", "z_max", "n_ladder",
+                "lemma_levels_horizon", "lemma_replicates"},
+    "moments": {"phi", "grid", "moment_orders", "replicates", "z_max"},
+}
+NON_DEFAULT = {
+    "phi": PhiSpec(kind="rational"), "grid": (1.0,), "levels": (0.1,), "replicates": 10,
+    "z_max": 4.0, "delta": 0.2, "horizon": 5.0, "n_ladder": (10, 20), "tv_threshold": 0.1,
+    "escape_threshold": 0.01, "slope_max": -0.5, "cross_times": (1.0,),
+    "lemma_levels_horizon": 8.0, "lemma_replicates": 10, "moment_orders": ((2,),),
+    "center_empirical": True,
+}
+UNREAD = [(kind, name) for kind, reads in READS.items() for name in NON_DEFAULT
+          if name not in reads]
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +67,55 @@ class TestConfig:
             ExperimentConfig(kind="clt", params=SMALL, workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="hitting", params=SMALL, lemma_replicates=0)
+
+    def test_registry_declares_the_knobs_each_campaign_reads(self):
+        assert {kind: set(verify._RUNNERS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
+        knobs = {f.name for f in fields(ExperimentConfig)} - {"kind", "params", "seed", "workers"}
+        assert set(NON_DEFAULT) == knobs
+        assert len(UNREAD) == 6 * 16 - 32 == 64
+
+    @pytest.mark.parametrize("kind, name", UNREAD)
+    def test_unread_knob_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"the {kind} campaign does not read {name};"):
+            ExperimentConfig(kind=kind, params=SMALL, **{name: NON_DEFAULT[name]})
+
+    @pytest.mark.parametrize("kind", list(READS))
+    def test_report_records_kind_params_seed_and_read_knobs(self, kind):
+        cfg = ExperimentConfig(kind=kind, params=SMALL, seed=3, workers=2,
+                               **{name: NON_DEFAULT[name] for name in READS[kind]})
+        record = cfg.to_dict()
+        assert set(record) == {"kind", "params", "seed"} | READS[kind]
+        assert (record["kind"], record["params"], record["seed"]) == (kind, SMALL.to_dict(), 3)
+        # a knob the kind does not read is accepted at its default, in any container
+        ExperimentConfig(kind=kind, params=SMALL, z_max=5.0, grid=[], n_ladder=np.array([], int))
+
+    def test_default_replicates(self):
+        assert ExperimentConfig(kind="clt", params=SMALL).replicates == 100
+
+    @pytest.mark.parametrize("kind, knobs", [
+        ("clt", dict(grid=(1.0,), replicates=4)),
+        ("escape", dict(n_ladder=(50, 100), delta=0.2, replicates=4, escape_threshold=1.0)),
+        ("tv_decay", dict(params=EnsembleParams(0.0, 1.0, 0.5, 100), tv_threshold=1.0)),
+        ("centering_rate", dict(grid=(1.0,), n_ladder=(10, 20))),
+        ("hitting", dict(params=EnsembleParams(0.0, 1.0, 0.5, 50), levels=(0.075,),
+                         cross_times=(1.0,), replicates=10, n_ladder=(50, 100),
+                         lemma_replicates=10)),
+        ("moments", dict(grid=(1.0,), replicates=4)),
+    ])
+    def test_campaign_reads_exactly_its_declared_knobs(self, kind, knobs):
+        # every branch that reads a knob is taken: the escape and hitting
+        # ladders, the Monte Carlo of the sampling kinds
+        class Recording:
+            def __init__(self, config):
+                self.config, self.seen = config, set()
+
+            def __getattr__(self, name):
+                self.seen.add(name)
+                return getattr(self.config, name)
+
+        cfg = Recording(ExperimentConfig(**{"kind": kind, "params": SMALL, **knobs}))
+        verify._RUNNERS[kind].__wrapped__(cfg)
+        assert cfg.seen - {"kind", "params", "seed", "workers"} == READS[kind]
 
     def test_phi_spec_parse(self):
         assert PhiSpec.parse("one").kind == "one"
@@ -183,7 +254,7 @@ class TestCltCampaign:
         assert all(np.isfinite(r["z"]) for r in finite_z_rows(report))
         assert report.to_json().startswith("{")
         parsed = json.loads(report.to_json())
-        assert parsed["schema_version"] == 1
+        assert parsed["schema_version"] == 2
 
     def test_moderate_run_passes(self):
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 100),
@@ -220,10 +291,11 @@ class TestCltCampaign:
                     grid=(0.5, 2.0), replicates=300, seed=11)
         r1 = run_clt(ExperimentConfig(**base, workers=1))
         r3 = run_clt(ExperimentConfig(**base, workers=3))
-        # worker count is part of the resolved config, so compare rows/assertions
+        # the report leaves the worker count out, so its bytes are the same
         assert r1.rows == r3.rows
         assert r1.assertions == r3.assertions
         assert r1.to_csv() == r3.to_csv()
+        assert r1.to_json() == r3.to_json()
 
     def test_wall_time_not_in_canonical_bytes(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=4, seed=0)
