@@ -33,6 +33,14 @@ whose entries each stop at their own term count (sum_j K_j term updates for
 a batch), and the exact distance in closed form, at the one point where the
 two densities cross (the test suite checks it against quadrature).
 
+A campaign that reads U only on a window [0, T] need not sample the
+particles that cannot reach it: ``_first_reaching`` gives j0 with
+F_j(T) = Prob[U_j <= T] < 2^-53, the resolution of the sampler's uniforms,
+for every j < j0, from Chernoff's bound on the gamma tail (no special
+function).  Leaving them out moves the law of a replicate's window by at
+most sum_{j<j0} F_j(T) < (j0 - 1) 2^-53 in total variation: 2.6e-12 at
+n = 1e5 and T = 10, the order of the 2^-53 clamp on the uniforms.
+
 Reproducibility: configuration r (its stream) reads its first round and a
 reservoir of retry uniforms from its own range of draws of the PCG64 stream
 seeded by ``seed``, so consecutive streams are one generator call, and
@@ -67,6 +75,7 @@ __all__ = [
 
 # Uniforms are clamped below at 2^-53 so no logarithm sees 0.
 _U_LO = 2.0**-53
+_LOG_U_LO = math.log(_U_LO)
 
 # Retry round i (from 1) gives each rejected entry min(2^i, _MAX_CANDIDATES)
 # candidates, each from its own slot (``_sample`` keeps the first accepted).
@@ -436,6 +445,36 @@ def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
     only amortizes the per-parameter constants and the arithmetic across rows.
     """
     return _sample(params, np.arange(1, params.n + 1), seed, streams)[0].copy()
+
+
+def _first_reaching(params: EnsembleParams, T: float) -> int:
+    """j0 in [1, n] with F_j(T) = cdf_u(j, T) < 2^-53 for every j < j0, from a
+    closed-form bound: no special function, O(log n) scalar evaluations.
+
+    With x_T = c e^{-beta T} and X ~ Gamma(s_j, 1), F_j(T) =
+    Prob[x_T <= X <= c] / P(s_j, c).  For s_j < x_T Chernoff's bound gives
+    Prob[X >= x_T] <= (x_T/s)^s e^{-(x_T - s)}, and P(s, c) >= P(s, s) > 1/2
+    because the median of Gamma(s) lies below s, so
+
+        ln F_j(T) <= ln 2 + s (ln(x_T/s) + 1) - x_T.
+
+    The bound's derivative in s is ln(x_T/s) > 0, so the particles it puts
+    below 2^-53 are a prefix of the indices, found by bisection on j.  Its
+    rounding (relative 1e-11 at n = 1e5) is far inside the factor the bound
+    gives away (60 to 270 at the cut at rho = 0.5, n = 500 to 1e5).  T = +inf,
+    or x_T <= s_1, gives j0 = 1; j0 <= n keeps one column at least.
+    """
+    x = params.c * math.exp(-params.beta * T)
+
+    def below(j: int) -> bool:
+        s = (j + params.alpha) / params.b
+        return s < x and math.log(2.0) + s * (math.log(x / s) + 1.0) - x < _LOG_U_LO
+
+    lo, hi = 0, params.n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return hi
 
 
 def cdf_u(params: EnsembleParams, j, t):

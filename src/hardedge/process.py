@@ -158,10 +158,13 @@ def _bins(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     return bins
 
 
-def statistic_paths(u, phi: TestFunction, grid, levels=()):
-    """(S, S_inf, Q) for the configurations ``u``, an (M, n) array of rows
-    (U_1, ..., U_n): S (M, G) holds S(t) at the points t of ``grid``, S_inf
+def statistic_paths(u, phi: TestFunction, grid, levels=(), n: Optional[int] = None):
+    """(S, S_inf, Q) for the configurations ``u``, an (M, m) array of rows
+    (U_1, ..., U_m): S (M, G) holds S(t) at the points t of ``grid``, S_inf
     (M,) holds S(+inf), and Q (M, H) the hitting times Q(h) at ``levels``.
+    Each particle weighs phi(U_j)/n, where ``n`` is the ensemble size, m by
+    default; a campaign that samples only the m particles that can reach its
+    grid passes the full n, and its sums then leave out the others.
 
     Each row is binned once against the grid with ``_bins``, which reads a
     strided u in place, and one bincount sums the weights phi(U_j)/n of every
@@ -173,7 +176,7 @@ def statistic_paths(u, phi: TestFunction, grid, levels=()):
 
     Raises ``ValueError`` for a grid that is not nondecreasing or holds NaN
     (repeated points are allowed), a NaN or negative level, levels with a
-    phi not certified positive, and a NaN or negative U.
+    phi not certified positive, a NaN or negative U, and n below m.
     """
     u = np.asarray(u, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -188,7 +191,10 @@ def statistic_paths(u, phi: TestFunction, grid, levels=()):
         raise ValueError("hitting times need a positive phi")
     if u.size and not np.min(u) >= 0.0:
         raise ValueError("coordinates must be >= 0 and not NaN")
-    M, n = u.shape
+    M, m = u.shape
+    n = m if n is None else n
+    if n < m:
+        raise ValueError(f"ensemble size n = {n} is below the {m} particles given")
     G = len(grid)
     if len(levels):
         u.sort(axis=1)

@@ -16,12 +16,19 @@ tests, not verdicts.
 
 Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
 range of draws of the PCG64 stream seeded by the master seed.  Replicates
-are processed in blocks of at most 128 rows and 2^20 particles (one row at
-least), each worker thread sampling into one workspace that it reuses from
-block to block; results are written into preallocated arrays indexed by
-replicate, and all reductions run after assembly, so a report is
+are processed in blocks of at most 128 rows and 2^20 sampled particles (one
+row at least), each worker thread sampling into one workspace that it
+reuses from block to block; results are written into preallocated arrays
+indexed by replicate, and all reductions run after assembly, so a report is
 byte-identical for a fixed seed regardless of the worker count or the block
 size.
+
+Window cut: a campaign whose reads are fixed by U on [0, T], T its largest
+grid point, samples only the particles that can reach T (each left out does
+so with probability below 2^-53; see ``_simulate_statistic``).  That is
+clt, moments and escape with phi = 1, on a finite grid.  hitting, its lemma
+ladder, escape with another phi and any grid holding +inf sample every
+particle.
 """
 
 from __future__ import annotations
@@ -162,12 +169,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown campaign kind {self.kind!r}; expected one of {CAMPAIGN_KINDS}")
         reads = _RUNNERS[self.kind].reads
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is f.default or f.name in ("kind", "params", "seed", "workers", *reads):
+            if f.name in ("kind", "params", "seed", "workers") or not self._set(f):
                 continue
-            if self._record(f.name, value) != self._record(f.name, f.default):
+            if f.name not in reads:
                 raise ValueError(f"the {self.kind} campaign does not read {f.name}; it reads "
                                  f"{', '.join(reads)}, besides params, seed and workers")
+            # the hitting lemma ladder runs only along an n_ladder
+            if f.name.startswith("lemma_") and not len(self.n_ladder):
+                raise ValueError(f"the {self.kind} campaign reads {f.name} only with an "
+                                 "n_ladder, and n_ladder is empty")
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         for name in ("grid", "levels", "cross_times"):
@@ -179,6 +189,12 @@ class ExperimentConfig:
             raise ValueError(f"lemma_replicates must be >= 1, got {self.lemma_replicates}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
+
+    def _set(self, f) -> bool:
+        """Whether field ``f`` is off its default, as a report would record it."""
+        value = getattr(self, f.name)
+        return value is not f.default and (
+            self._record(f.name, value) != self._record(f.name, f.default))
 
     def _record(self, name: str, value):
         """``value`` of field ``name`` as a report records it: typed like the
@@ -312,7 +328,7 @@ def _campaign(kind: str, reads: tuple):
 
 
 def _run_blocks(replicates: int, n: int, workers: int, block_fn):
-    """Run block_fn(i0, i1) over blocks of replicates of n particles each,
+    """Run block_fn(i0, i1) over blocks of replicates of n sampled particles each,
     in a thread pool of at most one thread per block (serially for one);
     returns results ordered by block start."""
     size = min(_BLOCK, max(1, _BLOCK_PARTICLES // n))
@@ -327,14 +343,26 @@ def _run_blocks(replicates: int, n: int, workers: int, block_fn):
 
 def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
                         phi: TestFunction, grid: np.ndarray, levels=(),
-                        replicates: Optional[int] = None):
+                        replicates: Optional[int] = None, total: bool = False):
     """:func:`hardedge.process.statistic_paths` over every replicate, block by
-    block: (S, S_inf, Q) with one row per replicate."""
+    block: (S, S_inf, Q) with one row per replicate, S_inf being S(+inf) if
+    ``total`` (the caller reads it) and None otherwise.
+
+    Without levels, with T = max(grid) finite, and with S(+inf) unread or phi
+    certified constant (derivative bound 0), all that is read is fixed by U
+    on [0, T].  Then only the particles from j0 =
+    ``ensemble._first_reaching(params, T)`` on are sampled: each one left out
+    reaches T with probability below 2^-53, the resolution of the sampler's
+    uniforms, so it adds nothing to S, and phi/n to S(+inf).  Everywhere else
+    j0 = 1 and every particle is sampled.
+    """
     M = replicates if replicates is not None else config.replicates
     S = np.empty((M, len(grid)))
     S_inf = np.empty(M)
     Q = np.empty((M, len(levels)))
-    js = np.arange(1, params.n + 1)
+    cut = len(grid) > 0 and not len(levels) and (not total or phi.derivative_bound == 0.0)
+    j0 = ens._first_reaching(params, float(np.max(grid))) if cut else 1
+    js = np.arange(j0, params.n + 1)
     # one sampler workspace per worker thread, reused by its blocks
     spaces = threading.local()
 
@@ -342,9 +370,13 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
         if not hasattr(spaces, "ws"):
             spaces.ws = ens._Workspace()
         u = ens._sample(params, js, config.seed, range(i0, i1), spaces.ws)[0]
-        S[i0:i1], S_inf[i0:i1], Q[i0:i1] = proc.statistic_paths(u, phi, grid, levels)
+        S[i0:i1], S_inf[i0:i1], Q[i0:i1] = proc.statistic_paths(u, phi, grid, levels, params.n)
 
-    _run_blocks(M, params.n, config.workers, block)
+    _run_blocks(M, len(js), config.workers, block)
+    if not total:
+        return S, None, Q
+    if j0 > 1:
+        S_inf += (j0 - 1) * float(phi(0.0)) / params.n
     return S, S_inf, Q
 
 
@@ -430,6 +462,12 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     below U_j in likelihood ratio, hence stochastically, and
     Prob[U_{j+1} <= T] >= Prob[U_j <= T].  A rung with no such j has
     nothing to check and raises ValueError, as in ``run_tv_decay``.
+
+    With phi = 1 the Monte Carlo samples only the particles that can reach T
+    (``_simulate_statistic``), and S(+inf) counts each one left out as 1/n;
+    the escape of those left out is the exact ladder's to check, and the
+    test suite checks it on sampled rows too.  Any other phi samples every
+    particle, since S(+inf) reads them all.
     """
     phi = config.phi.build()
     ladder = tuple(config.n_ladder) or (config.params.n,)
@@ -473,7 +511,7 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     p = replace(config.params, n=int(ladder[-1]))
     law = LimitLaw(p, phi)
     grid = np.array([T])
-    S, S_inf, _ = _simulate_statistic(config, p, phi, grid)
+    S, S_inf, _ = _simulate_statistic(config, p, phi, grid, total=True)
     m1_T = law.m1(T)
     sd = float(np.std(S[:, 0], ddof=1))
     z = _z(float(S.mean(axis=0)[0]), m1_T, sd)

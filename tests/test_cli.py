@@ -262,8 +262,7 @@ class TestVerifyCommand:
         # with 10.000 at 200: the z at h = 0 was sqrt(M / 2)
         code = main([
             "verify", "--campaign", "hitting", "--n", "100", "--levels", "0,0.1",
-            "--replicates", "50", "--lemma-replicates", "10",
-            "--out", str(tmp_path / "h.json"),
+            "--replicates", "50", "--out", str(tmp_path / "h.json"),
         ])
         assert code == 2
         assert "strictly between 0" in capsys.readouterr().err
@@ -322,6 +321,20 @@ class TestVerifyCommand:
                      "--out", str(out)])
         assert code == 2
         assert f"the {campaign} campaign does not read {field};" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lemma-replicates", "10", "lemma_replicates"),
+        ("--lemma-horizon", "8", "lemma_levels_horizon"),
+    ])
+    def test_lemma_knob_without_n_ladder_exits_2(self, tmp_path, capsys, flag, value, field):
+        # the lemma ladder runs only along an n_ladder; without one these
+        # knobs were recorded in the report and never read
+        out = tmp_path / "x.json"
+        code = main(["verify", "--campaign", "hitting", "--n", "60", "--levels", "0.075",
+                     "--replicates", "50", flag, value, "--out", str(out)])
+        assert code == 2
+        assert f"reads {field} only with an n_ladder" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_number_names_its_flag(self, tmp_path, capsys):

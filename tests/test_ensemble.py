@@ -633,6 +633,73 @@ class TestExactLaws:
         assert ens.cdf_u(p, 1, t) == pytest.approx(cdf_mpmath(p, 1, t), rel=1e-13, abs=0.0)
 
 
+def first_reaching_exact(params: EnsembleParams, T: float) -> int:
+    """The first j with cdf_u(j, T) >= 2^-53 (n if none), by bisection on j:
+    cdf_u rises with j."""
+    lo, hi = 0, params.n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ens.cdf_u(params, mid, T) < 2.0**-53 else (lo, mid)
+    return hi
+
+
+class TestWindowCut:
+    """``_first_reaching``: the particles a campaign with window [0, T] need not
+    sample, each reaching T with probability below 2^-53."""
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("edge", [False, True], ids=["rho0.5", "rho0.99max"])
+    def test_conservative_and_tight(self, alpha, b, edge):
+        # over the 12 (n, T) pairs the cut drops 99.7% of the particles an
+        # exact cut would, and stays within 1.61 b sqrt(x_T) indices of it
+        rho = 0.99 * b ** (-1.0 / (2.0 * b)) if edge else 0.5
+        for n in (100, 1600, 100_000):
+            p = EnsembleParams(alpha, b, rho, n)
+            for T in (0.01, 2.0, 10.0, 1e3):
+                j0, exact = ens._first_reaching(p, T), first_reaching_exact(p, T)
+                x_t = p.c * math.exp(-p.beta * T)
+                assert 1 <= j0 <= exact
+                if j0 > 1:
+                    assert ens.cdf_u(p, j0 - 1, T) < 2.0**-53
+                assert exact - j0 <= 2.0 * b * math.sqrt(x_t) + 1.0
+                if x_t <= (1.0 + alpha) / b:
+                    assert j0 == 1
+
+    @pytest.mark.parametrize("n, T, cut, exact", [
+        (100_000, 10.0, 23_642, 23_746), (500, 2.0, 42, 47), (1600, 10.0, 238, 246)])
+    def test_campaign_windows(self, n, T, cut, exact):
+        p = EnsembleParams(0.0, 1.0, 0.5, n)
+        assert (ens._first_reaching(p, T), first_reaching_exact(p, T)) == (cut, exact)
+
+    def test_against_mpmath_at_large_n(self):
+        # the last particle cut at the escape benchmark's window, at 40 digits
+        j0 = ens._first_reaching(LARGE, 10.0)
+        assert j0 == 23_642
+        assert cdf_mpmath(LARGE, j0 - 1, 10.0) < 2.0**-53
+
+    @pytest.mark.parametrize("params", SPREAD, ids=_params_id)
+    def test_trivial_windows(self, params):
+        # T = +inf reaches every particle; so does a window whose x_T is at
+        # most s_1, and one with c <= 54 ln 2 (n = 100, rho = 0.5: c = 25)
+        assert ens._first_reaching(params, math.inf) == 1
+        s1 = (1.0 + params.alpha) / params.b
+        T = math.log(params.c / s1) / params.beta if params.c > s1 else 0.0
+        assert ens._first_reaching(params, T) == 1
+        assert ens._first_reaching(CANON, 0.0) == 1
+
+    @pytest.mark.parametrize("params, T, rows", [
+        (EnsembleParams(0.0, 1.0, 0.5, 1600), 10.0, 256), (LARGE, 10.0, 2)],
+        ids=["n1600", "n1e5"])
+    def test_sampled_rows_never_reach_the_window_below_the_cut(self, params, T, rows):
+        # the Monte Carlo side of the escape check that the cut replaces
+        j0 = ens._first_reaching(params, T)
+        assert j0 > 200
+        u = ens.sample_batch(params, 5, range(rows))
+        assert np.all(u[:, :j0 - 1] > T)
+        assert np.any(u[:, j0 - 1:] <= T)
+
+
 class TestExponentialApproximation:
     def test_rate_direct_arithmetic(self):
         # theta = 2 at j = 50: rate = (0.25/0.75)*(2-1) = 1/3

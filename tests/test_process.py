@@ -131,6 +131,19 @@ class TestBuildStatistic:
             for t, value in zip(grid, path):
                 assert value == pytest.approx(brute_value(row, w, t), abs=1e-14)
 
+    def test_ensemble_size_weighs_each_particle(self):
+        # the columns given are particles of a larger ensemble: each weighs
+        # phi/n, so S and S(+inf) sum to m/n of what the columns alone give
+        u = np.array([[0.5, 1.5, 3.0], [2.0, 0.1, 0.2]])
+        S, S_inf, _ = statistic_paths(u, proc.phi_one(), [1.0, 2.0], n=12)
+        assert np.array_equal(S * 12, [[1.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(S_inf * 12, [3.0, 3.0])
+        base = statistic_paths(u, proc.phi_one(), [1.0, 2.0])
+        same = statistic_paths(u, proc.phi_one(), [1.0, 2.0], n=3)
+        assert all(np.array_equal(a, b) for a, b in zip(base, same))
+        with pytest.raises(ValueError, match="n = 2 is below the 3 particles"):
+            statistic_paths(u, proc.phi_one(), [1.0], n=2)
+
     def test_jump_bound(self):
         u = ens.sample_batch(CANON, 4, [0])
         phi = proc.phi_exp_decay(1.0)

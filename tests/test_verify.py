@@ -89,6 +89,20 @@ class TestConfig:
         # a knob the kind does not read is accepted at its default, in any container
         ExperimentConfig(kind=kind, params=SMALL, z_max=5.0, grid=[], n_ladder=np.array([], int))
 
+    @pytest.mark.parametrize("knobs", [
+        dict(lemma_replicates=10), dict(lemma_levels_horizon=8.0),
+        dict(lemma_replicates=10, lemma_levels_horizon=8.0, n_ladder=()),
+    ])
+    def test_lemma_knobs_need_an_n_ladder(self, knobs):
+        # at n = 60 this config ran, recorded both knobs and had no lemma rows
+        base = dict(kind="hitting", params=EnsembleParams(0.0, 1.0, 0.5, 60),
+                    levels=(0.075,), replicates=50)
+        with pytest.raises(ValueError, match="reads lemma_.* only with an n_ladder"):
+            ExperimentConfig(**base, **knobs)
+        # at their defaults, or along a ladder, they are accepted
+        ExperimentConfig(**base, lemma_replicates=1000, lemma_levels_horizon=50)
+        ExperimentConfig(**base, **{**knobs, "n_ladder": (100, 400)})
+
     def test_default_replicates(self):
         assert ExperimentConfig(kind="clt", params=SMALL).replicates == 100
 
@@ -167,6 +181,48 @@ class TestStatisticReduction:
                             for h in levels]
                     assert np.array_equal(out[2][i], want)
 
+    def test_cut_matches_per_configuration_path(self):
+        # clt at n = 500 reads U on [0, 2] only: particles 1..41 are left out,
+        # and the sums over the sampled columns still weigh each by phi/n
+        p = EnsembleParams(0.0, 1.0, 0.5, 500)
+        cfg = ExperimentConfig(kind="clt", params=p, grid=(0.5, 1.0, 2.0), replicates=150,
+                               seed=8)
+        phi = cfg.phi.build()
+        grid = np.array(cfg.grid)
+        j0 = ens._first_reaching(p, 2.0)
+        assert j0 == 42
+        S, S_inf, Q = _simulate_statistic(cfg, p, phi, grid)
+        assert S_inf is None and Q.shape == (150, 0)
+        rows = ens._sample(p, np.arange(j0, p.n + 1), cfg.seed, range(cfg.replicates))[0]
+        for i, u in enumerate(rows):
+            want = [np.sum(phi(u[u <= t]) / p.n) for t in grid]
+            assert np.max(np.abs(S[i] - want)) <= 1e-13
+
+    @pytest.mark.parametrize("phi, cut", [("one", True), ("rational", False)])
+    def test_total_mass_with_the_cut(self, phi, cut):
+        # phi = 1 is certified constant, so S(+inf) adds phi/n per particle
+        # left out; any other phi samples them all, since S(+inf) reads them
+        p = EnsembleParams(0.0, 1.0, 0.5, 1600)
+        cfg = ExperimentConfig(kind="escape", params=p, phi=PhiSpec(kind=phi), replicates=20,
+                               seed=3)
+        calls = []
+        inner = ens._sample
+
+        def recording(params, js, seed, streams, workspace=None):
+            calls.append(js[0])
+            return inner(params, js, seed, streams, workspace)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ens, "_sample", recording)
+            S, S_inf, _ = _simulate_statistic(cfg, p, cfg.phi.build(), np.array([10.0]),
+                                              total=True)
+        assert set(calls) == {238 if cut else 1}
+        if cut:
+            assert np.max(np.abs(S_inf - 1.0)) <= 1e-12
+        else:
+            u = ens.sample_batch(p, cfg.seed, range(cfg.replicates))
+            assert np.max(np.abs(S_inf - np.sum(cfg.phi.build()(u) / p.n, axis=1))) <= 1e-13
+
     @pytest.mark.parametrize("G", [0, 1, 2, 3, 4, 7, 8, 9, 64])
     def test_bins_match_searchsorted(self, G):
         # on the strided workspace view that the block loop bins, with u at
@@ -191,8 +247,7 @@ class TestStatisticReduction:
         # bytes for one worker or three, each reusing its own sampler workspace
         p = EnsembleParams(0.0, 1.0, 0.5, 200)
         configs = [ExperimentConfig(kind="hitting", params=p, levels=(0.075, 0.225),
-                                    cross_times=(1.0,), replicates=151, seed=4,
-                                    lemma_replicates=40),
+                                    cross_times=(1.0,), replicates=151, seed=4),
                    ExperimentConfig(kind="clt", params=p, grid=(0.5, 2.0), replicates=151,
                                     seed=4)]
         want = [run_campaign(c).to_json() for c in configs]
@@ -210,6 +265,30 @@ class TestStatisticReduction:
                 assert [run_campaign(replace(c, workers=workers)).to_json()
                         for c in configs] == want
             assert max(seen) == rows
+
+    def test_block_budget_keeps_cut_escape_bytes(self, monkeypatch):
+        # escape with phi = 1 samples the 1363 particles from j0 = 238 on;
+        # blocks are sized by those, and the bytes hold for any worker count
+        # or budget: 128-row blocks by default, 3-row ones at 4089 particles
+        # and single rows below 1363
+        p = EnsembleParams(0.0, 1.0, 0.5, 1600)
+        cfg = ExperimentConfig(kind="escape", params=p, delta=0.2, replicates=300, seed=6)
+        want = run_campaign(cfg).to_json()
+        assert json.loads(want)["passed"]
+        inner = ens._sample
+        for budget, rows in ((2**20, 128), (4089, 3), (1362, 1)):
+            seen = []
+
+            def recording(params, js, seed, streams, workspace=None):
+                seen.append((js[0], len(js), len(streams)))
+                return inner(params, js, seed, streams, workspace)
+
+            monkeypatch.setattr(ens, "_sample", recording)
+            monkeypatch.setattr(verify, "_BLOCK_PARTICLES", budget)
+            for workers in (1, 4):
+                assert run_campaign(replace(cfg, workers=workers)).to_json() == want
+            assert {(j, m) for j, m, _ in seen} == {(238, 1363)}
+            assert max(r for _, _, r in seen) == rows
 
     @pytest.mark.parametrize("workers, replicates, threads", [
         (1, 300, None), (3, 100, None), (3, 300, 3), (2, 900, 2), (3, 200, 2)])
