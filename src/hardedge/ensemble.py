@@ -20,18 +20,21 @@ is sampled exactly by one of two rejection methods:
   drawn in log space so it cannot underflow to 0.
 
 A particle takes the method that keeps more of its proposals: the
-exponential one where Z_j >= P(s_j, c).  Z_j rises with j and P(s_j, c)
-falls, so the two classes are index ranges split at one edge within
-O(sqrt(c)) of theta = 1, and the better method keeps more than a third of
-its proposals (as c grows, with s = c + x sqrt(c), P -> Phi(-x) and Z -> x
-times the Mills ratio, which meet near 0.355).  A sampler call evaluates ln P
-only on a bracket of O(sqrt(c)) indices around the edge.  The module also
-evaluates the exact per-particle CDF, the log-normalizer of the per-particle
-density (for :func:`hardedge.process.mean_exact`), and the exponential
-approximation's total-variation diagnostics: the bound as a positive series,
-whose entries each stop at their own term count (sum_j K_j term updates for
-a batch), and the exact distance in closed form, at the one point where the
-two densities cross (the test suite checks it against quadrature).
+exponential one where Z_j >= P(s_j, c).  As Z = (s - c) e^c c^{-s} Gamma(s)
+P(s, c), P cancels: the rule is s > c and ln(Z/P) = ln(s - c) + c - s ln c +
+ln Gamma(s) >= 0, with no incomplete gamma function.  Its derivative in s,
+1/(s - c) - ln c + psi(s) > 1/(s - c) - 1/s + ln(s/c) > 0, so the
+exponential class is the indices from one edge on (``_exp_edge``, by
+bisection), within O(sqrt(c)) of theta = 1, and the better method keeps more
+than a third of its proposals (as c grows, with s = c + x sqrt(c),
+P -> Phi(-x) and Z -> x times the Mills ratio, which meet near 0.355).  The
+module also evaluates the exact per-particle CDF, the log-normalizer of the
+per-particle density (for :func:`hardedge.process.mean_exact`), and the
+exponential approximation's total-variation diagnostics: the bound as a
+positive series, whose entries each stop at their own term count (sum_j K_j
+term updates for a batch), and the exact distance in closed form, at the one
+point where the two densities cross (the test suite checks it against
+quadrature).
 
 A campaign that reads U only on a window [0, T] need not sample the
 particles that cannot reach it: ``_first_reaching`` gives j0 with
@@ -121,7 +124,8 @@ class EnsembleParams:
             raise ValueError(f"alpha must be > -1, got {self.alpha}")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"b must be > 0, got {self.b}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)
+                and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
         rho_max = self.b ** (-1.0 / (2.0 * self.b))
         if not (math.isfinite(self.rho) and 0.0 < self.rho < rho_max):
@@ -172,43 +176,34 @@ def theta(params: EnsembleParams, j):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _log_z(params: EnsembleParams, s, log_p):
-    """ln Z = ln((s - c) e^c c^{-s} Gamma(s) P(s, c)) for s > c, given ln P(s, c)."""
+def _log_z_over_p(params: EnsembleParams, s):
+    """ln(Z/P) = ln(s - c) + c - s ln c + ln Gamma(s) for s > c: the
+    exponential proposal's acceptance rate Z = (s - c) e^c c^{-s} Gamma(s)
+    P(s, c) over the gamma proposal's, P(s, c), which cancels."""
     c = params.c
-    return np.log(s - c) + c - s * math.log(c) + gammaln(s) + log_p
+    return np.log(s - c) + c - s * math.log(c) + gammaln(s)
 
 
-def _classes(params: EnsembleParams, js):
-    """Column indices of the exponential and gamma classes of the particles
-    ``js`` (any order, repeats allowed).
+def _first_index(n: int, holds) -> int:
+    """The first j in [1, n] where ``holds(j)``, or n + 1 where there is none,
+    by bisection: ``holds`` must be false on a prefix of [1, n] and true after."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
-    Z = (s - c) e^c c^{-s} Gamma(s) P(s, c) = 1 - TV is the acceptance rate of
-    the exponential proposal (s > c only) and rises with j; P(s, c), that of
-    the gamma one, falls with j.  So the exponential class, Z >= P(s, c), is
-    j >= one edge O(sqrt(c)) above theta = 1.  The edge comes from one
-    vectorised evaluation on a bracket of about 3 b sqrt(c) indices either
-    side of j = b c - alpha, doubled until its lowest entry is gamma class (or
-    j = 1) and its highest exponential class (or j = n); each column is then
-    placed by comparing its j with the edge.
-    """
-    c, n = params.c, params.n
-    mid = min(max(round(params.b * c - params.alpha), 1), n)
-    half = math.ceil(3.0 * params.b * math.sqrt(c))
-    while True:
-        lo, hi = max(mid - half, 1), min(mid + half, n)
-        j = np.arange(lo, hi + 1)
+
+def _exp_edge(params: EnsembleParams) -> int:
+    """The first index of the exponential class, s > c and ln(Z/P) >= 0, or
+    n + 1.  ln(Z/P) rises with s from -inf at s = c+ (psi(s) > ln s - 1/s
+    bounds its derivative, see the module docstring); its rounding, about
+    1e-10 at n = 1e5, is far below its step per index, about 0.02 there."""
+    def exp_class(j: int) -> bool:
         s = (j + params.alpha) / params.b
-        log_p = log_reg_lower_gamma(s, c)
-        above = s > c
-        log_z = np.full(s.shape, -np.inf)
-        log_z[above] = _log_z(params, s[above], log_p[above])
-        exp = log_z >= log_p
-        if (not exp[0] or lo == 1) and (exp[-1] or hi == n):
-            break
-        half *= 2
-    first_exp = j[exp][0] if exp.any() else n + 1
-    e = np.asarray(js) >= first_exp
-    return np.flatnonzero(e), np.flatnonzero(~e)
+        return s > params.c and _log_z_over_p(params, s) >= 0.0
+
+    return _first_index(params.n, exp_class)
 
 
 class _Workspace:
@@ -292,7 +287,7 @@ def _keys(seed, streams):
     """The seed and the streams as ints, each checked to lie in [0, 2^64)."""
     def check(name, value):
         try:
-            k = operator.index(value)
+            k = -1 if isinstance(value, bool) else operator.index(value)
         except TypeError:
             k = -1
         if not 0 <= k < 2**64:
@@ -333,8 +328,9 @@ def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
     rejection.  A row with fewer unused slots than its entries need drops them
     and draws max(slots, need) fresh ones: refill k of stream r reads the
     PCG64 stream seeded by SeedSequence(seed, spawn_key=(r, k)).  A row
-    therefore depends only on (params, js, seed, its stream).  ln P(s, c) is
-    evaluated only on the class-edge bracket.
+    therefore depends only on (params, js, seed, its stream).  The class
+    edge is ``_exp_edge``: a bisection on a closed form, no incomplete gamma
+    function.
     """
     ja = np.asarray(js)
     if not (ja.ndim == 1 and np.issubdtype(ja.dtype, np.integer)
@@ -343,7 +339,7 @@ def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
         raise ValueError(f"particle columns must be integers in [1, {params.n}] "
                          f"in nondecreasing order, got {js!r}")
     shapes = (ja + params.alpha) / params.b
-    m, k = len(shapes), len(_classes(params, ja)[1])
+    m, k = len(shapes), int(np.searchsorted(ja, _exp_edge(params)))
     me = m - k
     # js ascends, so the gamma class is the first k columns
     gam, exp = slice(0, k), slice(k, m)
@@ -449,7 +445,8 @@ def sample_batch(params: EnsembleParams, seed: int, streams) -> np.ndarray:
 
 def _first_reaching(params: EnsembleParams, T: float) -> int:
     """j0 in [1, n] with F_j(T) = cdf_u(j, T) < 2^-53 for every j < j0, from a
-    closed-form bound: no special function, O(log n) scalar evaluations.
+    closed-form bound: no special function, O(log n) scalar evaluations
+    (``_first_index``, the bisection ``_exp_edge`` also uses).
 
     With x_T = c e^{-beta T} and X ~ Gamma(s_j, 1), F_j(T) =
     Prob[x_T <= X <= c] / P(s_j, c).  For s_j < x_T Chernoff's bound gives
@@ -466,15 +463,11 @@ def _first_reaching(params: EnsembleParams, T: float) -> int:
     """
     x = params.c * math.exp(-params.beta * T)
 
-    def below(j: int) -> bool:
+    def reaching(j: int) -> bool:
         s = (j + params.alpha) / params.b
-        return s < x and math.log(2.0) + s * (math.log(x / s) + 1.0) - x < _LOG_U_LO
+        return not (s < x and math.log(2.0) + s * (math.log(x / s) + 1.0) - x < _LOG_U_LO)
 
-    lo, hi = 0, params.n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return hi
+    return min(_first_index(params.n, reaching), params.n)
 
 
 def cdf_u(params: EnsembleParams, j, t):
@@ -596,13 +589,14 @@ def exact_tv_exponential(params: EnsembleParams, j) -> float:
     left side is convex and increasing, so from its quadratic approximation
     the first step lands above the root and the rest decrease to it; the
     distance is stationary at x*, so an error in x* enters it squared.  ln Z
-    comes from the gamma-function formula, independent of the series of
-    ``tv_upper_bound``, which the distance is checked against.
+    is the closed form ln(Z/P) of ``_log_z_over_p`` plus ln P(s, c),
+    independent of the series of ``tv_upper_bound``, which the distance is
+    checked against.
     """
     rate = exp_rate(params, j)
     s = (j + params.alpha) / params.b
     c = params.c
-    target = -float(_log_z(params, s, log_reg_lower_gamma(s, c)))
+    target = -float(_log_z_over_p(params, s) + log_reg_lower_gamma(s, c))
     y = math.sqrt(2.0 * target / c)
     for _ in range(_TV_MAX_NEWTON):
         step = (c * (math.expm1(-y) + y) - target) / (-c * math.expm1(-y))

@@ -127,7 +127,7 @@ def phi_from_table(x, y, name: str = "table") -> TestFunction:
         fn=_TableInterp(x, y),
         bound=float(np.max(np.abs(y))),
         positive=True,
-        derivative_bound=float(np.max(np.abs(slopes))) if len(slopes) else 0.0,
+        derivative_bound=float(np.max(np.abs(slopes))),
         name=name,
     )
 

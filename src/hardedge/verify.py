@@ -138,8 +138,9 @@ def _is_number(s: str) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Campaign configuration.  ``params``, ``seed`` and ``workers`` are common
-    to every kind; of the other knobs each kind reads those it declares at its
+    """Campaign configuration.  ``params``, ``seed`` (an integer in [0, 2^64),
+    as the sampler takes it) and ``workers`` are common to every kind; of the
+    other knobs each kind reads those it declares at its
     ``@_campaign`` registration, and construction raises ValueError if any
     other knob is off its default.  ``to_dict`` records just what is read."""
 
@@ -178,6 +179,7 @@ class ExperimentConfig:
             if f.name.startswith("lemma_") and not len(self.n_ladder):
                 raise ValueError(f"the {self.kind} campaign reads {f.name} only with an "
                                  "n_ladder, and n_ladder is empty")
+        ens._keys(self.seed, ())
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         for name in ("grid", "levels", "cross_times"):

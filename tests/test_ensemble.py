@@ -13,6 +13,7 @@ from hardedge import ensemble as ens
 from hardedge.ensemble import EnsembleParams
 from hardedge.limit_law import omega1
 from hardedge.special_functions import log_reg_lower_gamma
+from hardedge.verify import ExperimentConfig
 
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
 
@@ -59,7 +60,7 @@ def acceptance_rates(params: EnsembleParams, js):
 
 
 def classes_elementwise(params: EnsembleParams, js):
-    """Oracle of ``ens._classes``: every column takes the proposal that keeps more."""
+    """Oracle of ``ens._exp_edge``: every column takes the proposal that keeps more."""
     log_p_c, log_z = acceptance_rates(params, js)
     exp = log_z >= log_p_c
     return np.flatnonzero(exp), np.flatnonzero(~exp)
@@ -70,7 +71,9 @@ def _params_id(p: EnsembleParams) -> str:
 
 
 def _classes(params: EnsembleParams):
-    return ens._classes(params, np.arange(1, params.n + 1))
+    """Column indices of the exponential and gamma classes of all n particles."""
+    edge = ens._exp_edge(params)
+    return np.arange(edge - 1, params.n), np.arange(edge - 1)
 
 
 # Parameter edges for the class edges: alpha -> -1, n = 1 and 2, rho at
@@ -85,6 +88,10 @@ CLASS_EDGE_SETS = [
     EnsembleParams(alpha=0.5, b=2.0, rho=0.999 * 2.0 ** -0.25, n=1000),
     EnsembleParams(alpha=1.0, b=3.0, rho=0.6, n=300),
 ]
+
+# alpha x b x rho sweep at n = 1600, rho at 0.1, 0.5 and 0.99 of the droplet edge
+CLASS_SWEEP = [EnsembleParams(alpha, b, f * b ** (-1.0 / (2.0 * b)), 1600)
+               for alpha in (-0.9, 0.0, 0.5) for b in (0.5, 1.0, 2.0) for f in (0.1, 0.5, 0.99)]
 
 
 class TestParams:
@@ -108,6 +115,17 @@ class TestParams:
     def test_invalid_parameters_raise(self, kwargs):
         with pytest.raises(ValueError):
             EnsembleParams(**kwargs)
+
+    @pytest.mark.parametrize("call", [
+        lambda: EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=True),
+        lambda: ens.sample_batch(CANON, True, [0]),
+        lambda: ens.sample_batch(CANON, 1, [False]),
+        lambda: ExperimentConfig(kind="tv_decay", params=CANON, seed=True),
+    ], ids=["n", "seed", "stream", "config_seed"])
+    def test_bool_is_not_an_integer(self, call):
+        # True and False are ints to Python, but not a particle count, seed or stream
+        with pytest.raises(ValueError):
+            call()
 
     def test_wall_message_is_actionable(self):
         with pytest.raises(ValueError, match="hard wall must lie inside the droplet"):
@@ -493,14 +511,33 @@ class TestRejectionSampler:
             with pytest.raises(ValueError, match="nondecreasing"):
                 ens._sample(CANON, js, 1, range(64))
 
-    @staticmethod
-    def _check_classes(params, js):
-        for got, want in zip(ens._classes(params, js), classes_elementwise(params, js)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("params", CLASS_EDGE_SETS, ids=_params_id)
+    @pytest.mark.parametrize("params", CLASS_EDGE_SETS + CLASS_SWEEP, ids=_params_id)
     def test_class_edges_match_elementwise(self, params):
-        self._check_classes(params, np.arange(1, params.n + 1))
+        want = classes_elementwise(params, np.arange(1, params.n + 1))
+        for got, w in zip(_classes(params), want):
+            assert np.array_equal(got, w)
+
+    @pytest.mark.parametrize("params", [LARGE, SPREAD[1], SPREAD[2], *CLASS_EDGE_SETS[-3:-1]],
+                             ids=_params_id)
+    def test_class_edge_against_mpmath(self, params):
+        # Z - P(s, c) at 40 digits is negative just below the edge and not
+        # below it at the edge; at the droplet edge (the last two sets)
+        # theta_n is near 1 and the edge is n + 1, no exponential class.
+        # |ln(Z/P)| there is at least 1e-3 (0.0016 at n = 1e5), the closed
+        # form's error below 1e-10
+        edge = ens._exp_edge(params)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(params.c)
+            for j in (edge - 1, edge):
+                s = (mpmath.mpf(j) + params.alpha) / params.b
+                assert s > c
+                p = mpmath.gammainc(s, 0, c, regularized=True)
+                z = (s - c) * mpmath.exp(c) * c**-s * mpmath.gamma(s) * p
+                if j <= params.n:
+                    assert (z >= p) == (j == edge)
+                log_ratio = mpmath.log(z / p)
+                assert abs(log_ratio) >= 1e-3
+                assert abs(ens._log_z_over_p(params, float(s)) - float(log_ratio)) < 1e-10
 
     @pytest.mark.parametrize("params", CLASS_EDGE_SETS, ids=_params_id)
     def test_every_class_keeps_a_third_of_its_proposals(self, params):
@@ -509,28 +546,15 @@ class TestRejectionSampler:
         log_p_c, log_z = acceptance_rates(params, np.arange(1, params.n + 1))
         assert np.min(np.maximum(log_p_c, log_z)) >= math.log(1.0 / 3.0)
 
-    @pytest.mark.parametrize("params", [CANON, SPREAD[2], SPREAD[3]], ids=_params_id)
-    def test_class_edges_unsorted_and_repeated_columns(self, params):
-        rng = np.random.default_rng(4)
-        columns = [rng.permutation(np.arange(1, params.n + 1)),
-                   rng.integers(1, params.n + 1, size=3 * params.n)]
-        columns += [np.full(5, j) for j in (1, params.n // 2 + 1, params.n)]
-        for js in columns:
-            self._check_classes(params, js)
+    def test_sampler_evaluates_no_incomplete_gamma(self, monkeypatch):
+        # the class edge is a closed form in s: P(s, c) cancels from Z >= P
+        def forbidden(*args):
+            raise AssertionError("the sampler evaluated an incomplete gamma function")
 
-    def test_log_p_work_is_order_sqrt_c(self, monkeypatch):
-        # ln P is needed only near theta = 1: the class-edge bracket,
-        # O(sqrt(c)) entries instead of n = 1e5
-        seen = []
-        inner = ens.log_reg_lower_gamma
-
-        def counting(a, x):
-            seen.append(np.size(a))
-            return inner(a, x)
-
-        monkeypatch.setattr(ens, "log_reg_lower_gamma", counting)
-        ens.sample_batch(LARGE, 5, range(2))
-        assert 0 < sum(seen) <= 20.0 * math.sqrt(LARGE.c)
+        for name in ("log_reg_lower_gamma", "gammainc", "gammaincc"):
+            monkeypatch.setattr(ens, name, forbidden)
+        u = ens.sample_batch(LARGE, 5, range(2))
+        assert u.shape == (2, LARGE.n)
 
     def test_alpha_near_minus_one_finite(self):
         # s_1 = 0.001: X = Y V^(1/s) underflows to 0 in linear space for

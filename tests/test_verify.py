@@ -67,6 +67,9 @@ class TestConfig:
             ExperimentConfig(kind="clt", params=SMALL, workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="hitting", params=SMALL, lemma_replicates=0)
+        # checked at construction, not only by campaigns that sample
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(kind="tv_decay", params=SMALL, seed=-1)
 
     def test_registry_declares_the_knobs_each_campaign_reads(self):
         assert {kind: set(verify._RUNNERS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
