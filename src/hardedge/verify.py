@@ -14,6 +14,12 @@ hitting-covariance entry with |z| between 5.1 and 5.4), so a perfbench
 standard errors come from sample moments, so small-M campaigns are smoke
 tests, not verdicts.
 
+Verdicts: every z-score is a gate filed in a named family of
+:class:`_Verdicts`, which judges each family as one assertion.  A constant
+phi with a statistic time at +inf (grid, cross time or horizon) raises
+ValueError: S(+inf) = phi(0) on every replicate and its limit variance is 0,
+so a z-score there would measure rounding noise.
+
 Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
 range of draws of the PCG64 stream seeded by the master seed.  Replicates
 are processed in blocks of at most 128 rows and 2^20 sampled particles (one
@@ -189,8 +195,12 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.lemma_replicates < 1:
             raise ValueError(f"lemma_replicates must be >= 1, got {self.lemma_replicates}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
+        for name in ("delta", "tv_threshold", "escape_threshold", "slope_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # NaN, negative or infinite thresholds fail or pass every gate
+        if not 0.0 <= self.z_max < math.inf:
+            raise ValueError(f"z_max must be finite and >= 0, got {self.z_max}")
 
     def _set(self, f) -> bool:
         """Whether field ``f`` is off its default, as a report would record it."""
@@ -266,61 +276,76 @@ def _csv_cell(v):
     return v
 
 
-def _row(record, n=None, arg1=None, arg2=None, estimate=None, target=None, se=None, z=None):
-    def f(x):
-        return None if x is None or math.isnan(x) else float(x)
-    return {
-        "record": record,
-        "n": None if n is None else int(n),
-        "arg1": f(arg1),
-        "arg2": f(arg2),
-        "estimate": f(estimate),
-        "target": f(target),
-        "se": f(se),
-        "z": f(z),
-    }
+class _Verdicts:
+    """A campaign's rows and assertions in report order.  ``row`` and
+    ``check`` add plain ones; ``gate`` adds a row with z = (estimate - target)
+    / se (None with no spread or a NaN estimate) and files (label, z) under
+    ``family`` (None: reported, not judged); ``judge`` makes the family its
+    one assertion: every z ``_within`` z_max, a missing z failing."""
 
+    def __init__(self):
+        self.rows, self.assertions, self._families = [], [], {}
 
-def _assertion(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+    def row(self, record, n=None, arg1=None, arg2=None, estimate=None, target=None, se=None,
+            z=None):
+        def f(x):
+            return None if x is None or math.isnan(x) else float(x)
+        self.rows.append({
+            "record": record,
+            "n": None if n is None else int(n),
+            "arg1": f(arg1),
+            "arg2": f(arg2),
+            "estimate": f(estimate),
+            "target": f(target),
+            "se": f(se),
+            "z": f(z),
+        })
 
+    def check(self, name: str, passed: bool, detail: str):
+        self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
 
-def _z(estimate, target, se):
-    """(estimate - target) / se, or None where no z-score exists: the sample
-    has no spread (se = 0) or the estimate is undefined (NaN)."""
-    z = (estimate - target) / se if se > 0.0 else math.nan
-    return None if math.isnan(z) else float(z)
+    def gate(self, family, label, record, n=None, arg1=None, arg2=None, *, estimate, target, se):
+        # the row maps a NaN z (no spread, or a NaN estimate) to None
+        self.row(record, n, arg1, arg2, estimate, target, se,
+                 (estimate - target) / se if se > 0.0 else math.nan)
+        if family is not None:
+            self._families.setdefault(family, []).append((label, self.rows[-1]["z"]))
 
+    @staticmethod
+    def _within(z, z_max) -> bool:
+        return z is not None and abs(z) <= z_max
 
-def _z_assertion(name: str, zs: list, z_max: float) -> dict:
-    """Every (label, z) in ``zs`` within z_max; the detail names the worst.
-    A missing z-score (None) fails."""
-    missing = [label for label, z in zs if z is None]
-    if missing:
-        return _assertion(name, False, f"no z-score at {missing[0]}: the sample has no spread")
-    label, worst = max(zs, key=lambda r: abs(r[1]))
-    return _assertion(name, all(abs(z) <= z_max for _label, z in zs),
-                      f"max |z| = {abs(worst):.3f} at {label} (threshold {z_max})")
+    def judge(self, family: str, z_max: float):
+        zs = self._families.pop(family)
+        missing = [label for label, z in zs if z is None]
+        if missing:
+            detail = f"no z-score at {missing[0]}: the sample has no spread"
+        else:
+            label, worst = max(zs, key=lambda r: abs(r[1]))
+            detail = f"max |z| = {abs(worst):.3f} at {label} (threshold {z_max})"
+        self.check(family, all(self._within(z, z_max) for _label, z in zs), detail)
 
 
 _RUNNERS = {}
 
 
 def _campaign(kind: str, reads: tuple):
-    """Register a campaign body, config -> (rows, assertions), as the runner
-    for ``kind``, which reads the config knobs ``reads`` besides params, seed
-    and workers; the runner checks the kind, times the body and assembles
-    the report."""
+    """Register a campaign body, (config, out) -> None, as the runner for
+    ``kind``, which reads the config knobs ``reads`` besides params, seed and
+    workers.  The body writes its rows and assertions to ``out``, a fresh
+    :class:`_Verdicts`, judging each family of gates it files; the runner
+    checks the kind, times the body and assembles the report from ``out``."""
     def register(body):
         @functools.wraps(body)
         def run(config: ExperimentConfig) -> ExperimentReport:
             if config.kind != kind:
                 raise ValueError(f"{body.__name__} requires kind={kind!r}")
             t0 = time.perf_counter()
-            rows, assertions = body(config)
+            out = _Verdicts()
+            body(config, out)
             return ExperimentReport(
-                campaign=kind, config=config.to_dict(), rows=rows, assertions=assertions,
-                passed=all(a["passed"] for a in assertions),
+                campaign=kind, config=config.to_dict(), rows=out.rows,
+                assertions=out.assertions, passed=all(a["passed"] for a in out.assertions),
                 wall_time_s=time.perf_counter() - t0,
             )
         run.reads = reads
@@ -356,8 +381,12 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
     ``ensemble._first_reaching(params, T)`` on are sampled: each one left out
     reaches T with probability below 2^-53, the resolution of the sampler's
     uniforms, so it adds nothing to S, and phi/n to S(+inf).  Everywhere else
-    j0 = 1 and every particle is sampled.
+    j0 = 1 and every particle is sampled.  A constant phi with +inf on the
+    grid raises ValueError (see the module docstring).
     """
+    if phi.derivative_bound == 0.0 and np.any(np.isposinf(grid)):
+        raise ValueError(f"phi = {phi.name} is constant, so S(+inf) does not fluctuate: "
+                         "take inf off the grid, cross times or horizon")
     M = replicates if replicates is not None else config.replicates
     S = np.empty((M, len(grid)))
     S_inf = np.empty(M)
@@ -400,7 +429,7 @@ def _skew_exkurt(x: np.ndarray):
 
 
 @_campaign("clt", reads=("phi", "grid", "replicates", "z_max", "center_empirical"))
-def run_clt(config: ExperimentConfig) -> ExperimentReport:
+def run_clt(config: ExperimentConfig, out: _Verdicts) -> None:
     """Scaled centered statistic on a time grid vs the limit covariance,
     plus marginal Gaussianity diagnostics (skewness, excess kurtosis)."""
     params = config.params
@@ -418,41 +447,33 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
         center = proc.mean_exact(params, phi, grid)
     X = math.sqrt(params.n) * (S - center)
 
-    rows = []
     mean = X.mean(axis=0)
     cov = np.cov(X.T, ddof=1).reshape(len(grid), len(grid))
     cov_se = _cov_se(cov, M)
     gram = law.gram_statistic(grid)
     mean_se = np.sqrt(np.diag(cov) / M)
     skew, exkurt = _skew_exkurt(X)
-    zs = []
+    gates = "all_z_within_threshold"
+    # empirically centered means are 0 by construction: reported, not judged
+    mean_family = None if config.center_empirical else gates
     for i, t in enumerate(grid):
-        z = _z(mean[i], 0.0, mean_se[i])
-        rows.append(_row("mean", n=params.n, arg1=t, estimate=mean[i], target=0.0,
-                         se=mean_se[i], z=z))
-        if not config.center_empirical:
-            zs.append((f"mean({t}, None)", z))
-        z = _z(skew[i], 0.0, math.sqrt(6.0 / M))
-        rows.append(_row("skewness", n=params.n, arg1=t, estimate=skew[i], target=0.0,
-                         se=math.sqrt(6.0 / M), z=z))
-        zs.append((f"skewness({t}, None)", z))
-        z = _z(exkurt[i], 0.0, math.sqrt(24.0 / M))
-        rows.append(_row("excess_kurtosis", n=params.n, arg1=t, estimate=exkurt[i],
-                         target=0.0, se=math.sqrt(24.0 / M), z=z))
-        zs.append((f"excess_kurtosis({t}, None)", z))
+        out.gate(mean_family, f"mean({t}, None)", "mean", params.n, t,
+                 estimate=mean[i], target=0.0, se=mean_se[i])
+        out.gate(gates, f"skewness({t}, None)", "skewness", params.n, t,
+                 estimate=skew[i], target=0.0, se=math.sqrt(6.0 / M))
+        out.gate(gates, f"excess_kurtosis({t}, None)", "excess_kurtosis", params.n, t,
+                 estimate=exkurt[i], target=0.0, se=math.sqrt(24.0 / M))
     for i1 in range(len(grid)):
         for i2 in range(i1, len(grid)):
-            z = _z(cov[i1, i2], gram[i1, i2], cov_se[i1, i2])
-            rows.append(_row("covariance", n=params.n, arg1=grid[i1], arg2=grid[i2],
-                             estimate=cov[i1, i2], target=gram[i1, i2],
-                             se=cov_se[i1, i2], z=z))
-            zs.append((f"covariance({grid[i1]}, {grid[i2]})", z))
-    return rows, [_z_assertion("all_z_within_threshold", zs, config.z_max)]
+            out.gate(gates, f"covariance({grid[i1]}, {grid[i2]})", "covariance", params.n,
+                     grid[i1], grid[i2], estimate=cov[i1, i2], target=gram[i1, i2],
+                     se=cov_se[i1, i2])
+    out.judge(gates, config.z_max)
 
 
 @_campaign("escape", reads=("phi", "n_ladder", "delta", "horizon", "escape_threshold",
                               "replicates", "z_max"))
-def run_escape(config: ExperimentConfig) -> ExperimentReport:
+def run_escape(config: ExperimentConfig, out: _Verdicts) -> None:
     """Low-index particles leave every fixed window: exact CDF ladder plus a
     Monte Carlo check that the statistic concentrates on the limit mean.
 
@@ -474,9 +495,6 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     phi = config.phi.build()
     ladder = tuple(config.n_ladder) or (config.params.n,)
     T = config.horizon
-    rows = []
-    assertions = []
-
     exact_col = []
     for n in ladder:
         p = replace(config.params, n=int(n))
@@ -487,25 +505,25 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
                              "increase n or decrease delta")
         mx = ens.cdf_u(p, last, T)
         exact_col.append(mx)
-        rows.append(_row("escape_exact_max_cdf", n=n, arg1=T, estimate=mx, target=0.0))
+        out.row("escape_exact_max_cdf", n=n, arg1=T, estimate=mx, target=0.0)
         retained = float(np.count_nonzero(th > 1.0)) / p.n
-        rows.append(_row("retained_fraction", n=n, estimate=retained, target=p.kappa))
-        assertions.append(_assertion(
+        out.row("retained_fraction", n=n, estimate=retained, target=p.kappa)
+        out.check(
             f"retained_fraction_matches_kappa_n{n}",
             abs(retained - p.kappa) <= (2.0 + abs(p.alpha)) / p.n,
             f"|{retained:.6f} - kappa {p.kappa:.6f}| <= {(2.0 + abs(p.alpha)) / p.n:.2e}",
-        ))
+        )
     decreasing = all(a > b for a, b in zip(exact_col, exact_col[1:]))
-    assertions.append(_assertion(
+    out.check(
         "escape_exact_strictly_decreasing", decreasing,
         f"max cdf_u(theta<1-delta, T={T}) along ladder: "
         + ", ".join(f"{v:.3e}" for v in exact_col),
-    ))
-    assertions.append(_assertion(
+    )
+    out.check(
         "escape_exact_below_threshold",
         exact_col[-1] < config.escape_threshold,
         f"{exact_col[-1]:.3e} < {config.escape_threshold:.1e} at n={ladder[-1]}",
-    ))
+    )
 
     # Monte Carlo at the largest ladder n: S(T) concentrates on m1(T); the
     # comparison scale is the per-replicate standard deviation because the
@@ -514,37 +532,29 @@ def run_escape(config: ExperimentConfig) -> ExperimentReport:
     law = LimitLaw(p, phi)
     grid = np.array([T])
     S, S_inf, _ = _simulate_statistic(config, p, phi, grid, total=True)
-    m1_T = law.m1(T)
-    sd = float(np.std(S[:, 0], ddof=1))
-    z = _z(float(S.mean(axis=0)[0]), m1_T, sd)
-    rows.append(_row("statistic_vs_limit_mean", n=p.n, arg1=T,
-                     estimate=float(S.mean(axis=0)[0]), target=m1_T, se=sd, z=z))
-    assertions.append(_z_assertion("statistic_concentrates_on_limit_mean",
-                                   [(f"S({T})", z)], config.z_max))
+    out.gate("statistic_concentrates_on_limit_mean", f"S({T})", "statistic_vs_limit_mean",
+             p.n, T, estimate=float(S.mean(axis=0)[0]), target=law.m1(T),
+             se=float(np.std(S[:, 0], ddof=1)))
+    out.judge("statistic_concentrates_on_limit_mean", config.z_max)
     total = float(S_inf.mean())
     if config.phi.kind == "one":
-        rows.append(_row("total_mass", n=p.n, estimate=total, target=1.0))
-        assertions.append(_assertion(
+        out.row("total_mass", n=p.n, estimate=total, target=1.0)
+        out.check(
             "total_mass_is_one", abs(total - 1.0) <= 1e-12,
             f"|S(inf) - 1| = {abs(total - 1.0):.2e}",
-        ))
+        )
     else:
-        target = proc.mean_exact(p, phi, np.inf)
-        sdt = float(np.std(S_inf, ddof=1)) / math.sqrt(len(S_inf))
-        zt = _z(total, target, sdt)
-        rows.append(_row("total_mass", n=p.n, estimate=total, target=target, se=sdt, z=zt))
-        assertions.append(_z_assertion("total_mass_matches_exact_mean", [("S(inf)", zt)],
-                                       config.z_max))
-    return rows, assertions
+        out.gate("total_mass_matches_exact_mean", "S(inf)", "total_mass", p.n,
+                 estimate=total, target=proc.mean_exact(p, phi, np.inf),
+                 se=float(np.std(S_inf, ddof=1)) / math.sqrt(len(S_inf)))
+        out.judge("total_mass_matches_exact_mean", config.z_max)
 
 
 @_campaign("tv_decay", reads=("n_ladder", "delta", "tv_threshold"))
-def run_tv_decay(config: ExperimentConfig) -> ExperimentReport:
+def run_tv_decay(config: ExperimentConfig, out: _Verdicts) -> None:
     """Worst-case TV bound between high-index particles and their exponential
     approximants, tabulated along an n-ladder."""
     ladder = tuple(config.n_ladder) or (config.params.n,)
-    rows = []
-    assertions = []
     col = []
     for n in ladder:
         p = replace(config.params, n=int(n))
@@ -557,28 +567,27 @@ def run_tv_decay(config: ExperimentConfig) -> ExperimentReport:
         k = int(np.argmax(bounds))
         mx = float(bounds[k])
         col.append(mx)
-        rows.append(_row("tv_bound_max", n=n, arg1=float(th[js[k] - 1]), estimate=mx))
+        out.row("tv_bound_max", n=n, arg1=float(th[js[k] - 1]), estimate=mx)
         exact = ens.exact_tv_exponential(p, int(js[k]))
-        rows.append(_row("tv_exact_at_argmax", n=n, arg1=float(th[js[k] - 1]),
-                         estimate=exact, target=mx))
-        assertions.append(_assertion(
+        out.row("tv_exact_at_argmax", n=n, arg1=float(th[js[k] - 1]), estimate=exact,
+                target=mx)
+        out.check(
             f"exact_tv_below_bound_n{n}", exact <= mx + 1e-12,
             f"exact TV {exact:.5f} <= bound {mx:.5f}",
-        ))
+        )
     decreasing = all(a > b for a, b in zip(col, col[1:]))
-    assertions.append(_assertion(
+    out.check(
         "tv_bound_monotone_decreasing", decreasing,
         "max bound along ladder: " + ", ".join(f"{v:.4f}" for v in col),
-    ))
-    assertions.append(_assertion(
+    )
+    out.check(
         "tv_bound_below_threshold", col[-1] <= config.tv_threshold,
         f"{col[-1]:.4f} <= {config.tv_threshold} at n={ladder[-1]}",
-    ))
-    return rows, assertions
+    )
 
 
 @_campaign("centering_rate", reads=("phi", "grid", "n_ladder", "slope_max"))
-def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
+def run_centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
     """Decay of sup_t |E S(t) - m1(t)| along an n-ladder, with a fitted
     log-log exponent."""
     phi = config.phi.build()
@@ -588,8 +597,6 @@ def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
     grid = np.asarray(config.grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("centering_rate needs a nonempty time grid")
-    rows = []
-    assertions = []
     errs = []
     m1_grid = None
     for n in ladder:
@@ -600,24 +607,23 @@ def run_centering_rate(config: ExperimentConfig) -> ExperimentReport:
         me = proc.mean_exact(p, phi, grid)
         err = float(np.max(np.abs(me - m1_grid)))
         errs.append(err)
-        rows.append(_row("centering_sup_error", n=n, estimate=err))
+        out.row("centering_sup_error", n=n, estimate=err)
     slope = float(np.polyfit(np.log(np.asarray(ladder, float)), np.log(errs), 1)[0])
-    rows.append(_row("fitted_slope", estimate=slope, target=config.slope_max))
-    assertions.append(_assertion(
+    out.row("fitted_slope", estimate=slope, target=config.slope_max)
+    out.check(
         "errors_positive_and_decreasing",
         all(e > 0 for e in errs) and all(a > b for a, b in zip(errs, errs[1:])),
         "sup errors: " + ", ".join(f"{e:.3e}" for e in errs),
-    ))
-    assertions.append(_assertion(
+    )
+    out.check(
         "fitted_slope_within_bound", slope <= config.slope_max,
         f"fitted log-log slope {slope:.4f} <= {config.slope_max}",
-    ))
-    return rows, assertions
+    )
 
 
 @_campaign("hitting", reads=("phi", "levels", "cross_times", "replicates", "z_max",
                                "n_ladder", "lemma_levels_horizon", "lemma_replicates"))
-def run_hitting(config: ExperimentConfig) -> ExperimentReport:
+def run_hitting(config: ExperimentConfig, out: _Verdicts) -> None:
     """Hitting-time fluctuations vs their limit covariance, the joint
     cross-covariance with the statistic, and the divergence at the top level."""
     params = config.params
@@ -643,32 +649,28 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     center = proc.mean_exact(params, phi, cross_times)
     X = math.sqrt(params.n) * (S - center)
 
-    rows = []
-    assertions = []
     inf_counts = np.sum(~np.isfinite(Q), axis=0)
     for i, h in enumerate(levels):
-        rows.append(_row("infinite_hit_frequency", n=params.n, arg1=h,
-                         estimate=float(inf_counts[i]) / M, target=0.0))
-    assertions.append(_assertion(
+        out.row("infinite_hit_frequency", n=params.n, arg1=h,
+                estimate=float(inf_counts[i]) / M, target=0.0)
+    out.check(
         "no_infinite_hits_below_limit_mass", int(inf_counts.sum()) == 0,
         f"{int(inf_counts.sum())} infinite hitting times across levels",
-    ))
+    )
 
     finite = np.all(np.isfinite(Q), axis=1)
     Y = math.sqrt(params.n) * (Q[finite] - hit.tau)
     Xf = X[finite]
     mf = int(finite.sum())
-    zs = []
+    gates = "all_z_within_threshold"
     covQ = np.cov(Y.T, ddof=1).reshape(len(levels), len(levels))
     gramQ = hit.gram
     seQ = _cov_se(covQ, mf)
     for i1 in range(len(levels)):
         for i2 in range(i1, len(levels)):
-            z = _z(covQ[i1, i2], gramQ[i1, i2], seQ[i1, i2])
-            rows.append(_row("hitting_covariance", n=params.n, arg1=levels[i1],
-                             arg2=levels[i2], estimate=covQ[i1, i2],
-                             target=gramQ[i1, i2], se=seQ[i1, i2], z=z))
-            zs.append((f"hitting_covariance({levels[i1]:.4g}, {levels[i2]:.4g})", z))
+            out.gate(gates, f"hitting_covariance({levels[i1]:.4g}, {levels[i2]:.4g})",
+                     "hitting_covariance", params.n, levels[i1], levels[i2],
+                     estimate=covQ[i1, i2], target=gramQ[i1, i2], se=seQ[i1, i2])
     # The hitting time is centered at the limit tau, not at its exact finite-n
     # mean, so sqrt(n)(mean Q - tau) carries an O(log n / sqrt(n)) bias that a
     # mean-of-M standard error would flag spuriously; the comparison scale is
@@ -676,23 +678,18 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
     meanY = Y.mean(axis=0)
     sdY = np.sqrt(np.diag(covQ))
     for i, h in enumerate(levels):
-        z = _z(meanY[i], 0.0, sdY[i])
-        rows.append(_row("hitting_mean", n=params.n, arg1=h, estimate=meanY[i],
-                         target=0.0, se=sdY[i], z=z))
-        zs.append((f"hitting_mean({h:.4g}, {h:.4g})", z))
+        out.gate(gates, f"hitting_mean({h:.4g}, {h:.4g})", "hitting_mean", params.n, h,
+                 estimate=meanY[i], target=0.0, se=sdY[i])
 
     if len(cross_times):
         varX = X.var(axis=0, ddof=1)
         for it, t in enumerate(cross_times):
             for ih, h in enumerate(levels):
                 c = float(np.cov(Xf[:, it], Y[:, ih], ddof=1)[0, 1])
-                target = float(hit.cross[it, ih])
-                se = math.sqrt((varX[it] * covQ[ih, ih] + c * c) / mf)
-                z = _z(c, target, se)
-                rows.append(_row("cross_covariance", n=params.n, arg1=t, arg2=h,
-                                 estimate=c, target=target, se=se, z=z))
-                zs.append((f"cross_covariance({t:.4g}, {h:.4g})", z))
-    assertions.append(_z_assertion("all_z_within_threshold", zs, config.z_max))
+                out.gate(gates, f"cross_covariance({t:.4g}, {h:.4g})", "cross_covariance",
+                         params.n, t, h, estimate=c, target=float(hit.cross[it, ih]),
+                         se=math.sqrt((varX[it] * covQ[ih, ih] + c * c) / mf))
+    out.judge(gates, config.z_max)
 
     # Divergence at the top level: the probability of hitting L before a
     # fixed horizon must decay along an n-ladder.  At moderate n that
@@ -709,31 +706,30 @@ def run_hitting(config: ExperimentConfig) -> ExperimentReport:
                                            replicates=config.lemma_replicates)
             frac = float(np.mean(Qn[:, 0] <= config.lemma_levels_horizon))
             fracs.append(frac)
-            rows.append(_row("hit_limit_mass_by_horizon", n=n, arg1=L,
-                             arg2=config.lemma_levels_horizon, estimate=frac))
+            out.row("hit_limit_mass_by_horizon", n=n, arg1=L,
+                    arg2=config.lemma_levels_horizon, estimate=frac)
             if config.phi.kind == "one":
                 cross = _counting_crossing_probability(
                     p, config.lemma_levels_horizon, L
                 )
                 exact_cross.append(cross)
-                rows.append(_row("hit_limit_mass_by_horizon_exact", n=n, arg1=L,
-                                 arg2=config.lemma_levels_horizon, estimate=cross))
+                out.row("hit_limit_mass_by_horizon_exact", n=n, arg1=L,
+                        arg2=config.lemma_levels_horizon, estimate=cross)
         if exact_cross:
-            assertions.append(_assertion(
+            out.check(
                 "hit_probability_at_limit_mass_decreasing",
                 all(a > b for a, b in zip(exact_cross, exact_cross[1:]))
                 and all(m >= e or abs(m - e) <= 5.0 / math.sqrt(config.lemma_replicates)
                         for m, e in zip(fracs, exact_cross)),
                 "exact crossing probabilities along ladder: "
                 + ", ".join(f"{1.0 - v:.3e} below one" for v in exact_cross),
-            ))
+            )
         else:
-            assertions.append(_assertion(
+            out.check(
                 "hit_fraction_at_limit_mass_nonincreasing",
                 all(a >= b for a, b in zip(fracs, fracs[1:])),
                 "fractions along ladder: " + ", ".join(f"{v:.4f}" for v in fracs),
-            ))
-    return rows, assertions
+            )
 
 
 def _counting_crossing_probability(params: EnsembleParams, horizon: float,
@@ -770,7 +766,7 @@ def _isserlis(cov: np.ndarray, idx: list) -> float:
 
 
 @_campaign("moments", reads=("phi", "grid", "moment_orders", "replicates", "z_max"))
-def run_moments(config: ExperimentConfig) -> ExperimentReport:
+def run_moments(config: ExperimentConfig, out: _Verdicts) -> None:
     """Joint moments of the scaled centered statistic vs Gaussian targets
     computed from the limit covariance by Isserlis pairing."""
     params = config.params
@@ -795,8 +791,7 @@ def run_moments(config: ExperimentConfig) -> ExperimentReport:
     X = math.sqrt(params.n) * (S - center)
     gram = law.gram_statistic(grid)
 
-    rows = []
-    zs = []
+    gates = "all_moment_z_within_threshold"
     for m_idx in orders:
         sample = np.ones(M)
         flat = []
@@ -804,15 +799,11 @@ def run_moments(config: ExperimentConfig) -> ExperimentReport:
             if p:
                 sample = sample * X[:, i] ** p
                 flat.extend([i] * p)
-        target = _isserlis(gram, flat)
-        est = float(sample.mean())
-        se = float(np.std(sample, ddof=1)) / math.sqrt(M)
-        z = _z(est, target, se)
-        label = "*".join(f"X(t{i})^{p}" for i, p in enumerate(m_idx) if p)
-        rows.append(_row("moment", n=params.n, arg1=float(sum(m_idx)),
-                         estimate=est, target=target, se=se, z=z))
-        zs.append((label, z))
-    return rows, [_z_assertion("all_moment_z_within_threshold", zs, config.z_max)]
+        out.gate(gates, "*".join(f"X(t{i})^{p}" for i, p in enumerate(m_idx) if p), "moment",
+                 params.n, float(sum(m_idx)), estimate=float(sample.mean()),
+                 target=_isserlis(gram, flat),
+                 se=float(np.std(sample, ddof=1)) / math.sqrt(M))
+    out.judge(gates, config.z_max)
 
 
 CAMPAIGN_KINDS = tuple(_RUNNERS)

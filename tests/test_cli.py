@@ -270,6 +270,27 @@ class TestVerifyCommand:
         assert main(["limit", "--n", "100", "--grid", "1", "--levels", "0,0.1",
                      "--out", str(tmp_path / "l.json")]) == 0
 
+    @pytest.mark.parametrize("campaign, flag, value, message", [
+        ("clt", "--z-max", "nan", "z_max must be finite and >= 0"),
+        ("clt", "--z-max", "-1", "z_max must be finite and >= 0"),
+        ("clt", "--z-max", "inf", "z_max must be finite and >= 0"),
+        ("tv_decay", "--tv-threshold", "nan", "tv_threshold must be finite"),
+        ("clt", "--grid", "0.5,1,inf", "phi = one is constant, so S(+inf) does not fluctuate"),
+    ], ids=["z_max-nan", "z_max-negative", "z_max-inf", "tv_threshold-nan", "phi_one-at-inf"])
+    def test_threshold_or_time_that_decides_the_verdict_exits_2(self, tmp_path, capsys,
+                                                                campaign, flag, value, message):
+        # each of these used to run: z_max = nan or -1 failed every z gate,
+        # inf passed them all, tv_threshold = nan printed "0.2000 <= nan",
+        # and S(+inf) for phi = 1 failed with |z| = 6.6e14 on rounding noise
+        out = tmp_path / "x.json"
+        replicates = ["--replicates", "20"] if campaign == "clt" else []
+        grid = ["--grid", "1"] if campaign == "clt" and flag != "--grid" else []
+        code = main(["verify", "--campaign", campaign, "--n", "60", *replicates, *grid,
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_descending_n_ladder_exits_2(self, tmp_path, capsys):
         code = main([
             "verify", "--campaign", "tv_decay", "--n", "1000", "--n-ladder", "logspace:3:2:2",
@@ -360,14 +381,26 @@ class TestVerifyCommand:
         gates = {a["name"]: a["passed"] for a in json.loads(out.read_text())["assertions"]}
         assert gates["total_mass_matches_exact_mean"]
 
-    def test_report_schema_validates(self, tmp_path):
+    @pytest.mark.parametrize("campaign", [
+        "clt", "escape", "tv_decay", "centering_rate", "hitting", "moments",
+    ])
+    def test_report_schema_validates(self, tmp_path, campaign):
         jsonschema = pytest.importorskip("jsonschema")
+        flags = {
+            "clt": ["--n", "15", "--replicates", "20", "--grid", "1"],
+            "escape": ["--n", "200", "--replicates", "20", "--delta", "0.2"],
+            "tv_decay": ["--n", "100"],
+            "centering_rate": ["--n", "20", "--grid", "1", "--n-ladder", "10,20"],
+            "hitting": ["--n", "50", "--replicates", "20", "--levels", "0.075",
+                        "--cross-times", "1"],
+            "moments": ["--n", "15", "--replicates", "20", "--grid", "1"],
+        }[campaign]
         out = tmp_path / "report.json"
-        main([
-            "verify", "--campaign", "clt", "--n", "15", "--replicates", "20",
-            "--grid", "1", "--seed", "0", "--out", str(out),
-        ])
-        jsonschema.validate(json.loads(out.read_text()), REPORT_SCHEMA)
+        main(["verify", "--campaign", campaign, *flags, "--seed", "0", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["campaign"] == campaign
+        assert payload["passed"] == all(a["passed"] for a in payload["assertions"])
 
     def test_csv_report_format(self, tmp_path):
         out = tmp_path / "report.csv"

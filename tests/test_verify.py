@@ -70,6 +70,17 @@ class TestConfig:
         # checked at construction, not only by campaigns that sample
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(kind="tv_decay", params=SMALL, seed=-1)
+        # a threshold that no z meets (NaN, negative) or that every z meets
+        # (inf) decides the verdict alone; z_max = 0 is a valid forced failure
+        for z_max in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="z_max must be finite and >= 0"):
+                ExperimentConfig(kind="clt", params=SMALL, z_max=z_max)
+        ExperimentConfig(kind="clt", params=SMALL, z_max=0.0)
+        for kind, name in (("tv_decay", "tv_threshold"), ("escape", "escape_threshold"),
+                           ("centering_rate", "slope_max")):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ExperimentConfig(kind=kind, params=SMALL, **{name: value})
 
     def test_registry_declares_the_knobs_each_campaign_reads(self):
         assert {kind: set(verify._RUNNERS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
@@ -131,7 +142,7 @@ class TestConfig:
                 return getattr(self.config, name)
 
         cfg = Recording(ExperimentConfig(**{"kind": kind, "params": SMALL, **knobs}))
-        verify._RUNNERS[kind].__wrapped__(cfg)
+        verify._RUNNERS[kind].__wrapped__(cfg, verify._Verdicts())
         assert cfg.seen - {"kind", "params", "seed", "workers"} == READS[kind]
 
     def test_phi_spec_parse(self):
@@ -315,16 +326,40 @@ class TestStatisticReduction:
         skew, exkurt = verify._skew_exkurt(np.array([[1.0, 0.0], [1.0, 2.0]]))
         assert np.isnan(skew[0]) and np.isnan(exkurt[0])
         assert (skew[1], exkurt[1]) == (0.0, -2.0)
-        assert verify._z(0.3, 0.0, 0.0) is None and verify._z(math.nan, 0.0, 1.0) is None
-        assert verify._z(0.5, 0.25, 0.5) == 0.5
-        gate = verify._z_assertion("gate", [("a", 0.1), ("b", None)], 5.0)
-        assert not gate["passed"] and "at b" in gate["detail"]
-        assert verify._row("skewness", estimate=math.nan)["estimate"] is None
+        out = verify._Verdicts()
+        out.gate("gate", "a", "mean", estimate=0.55, target=0.5, se=0.5)
+        out.gate("gate", "b", "mean", estimate=0.3, target=0.0, se=0.0)
+        out.gate("gate", "c", "skewness", estimate=math.nan, target=0.0, se=1.0)
+        out.judge("gate", 5.0)
+        assert [r["z"] for r in out.rows] == [pytest.approx(0.1), None, None]
+        assert out.rows[2]["estimate"] is None
+        assert out.assertions == [{"name": "gate", "passed": False,
+                                   "detail": "no z-score at b: the sample has no spread"}]
         # no particle reaches T = 1e-6: S(T) = 0 in every replicate
         report = run_escape(ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 10),
                                              horizon=1e-6, replicates=2, seed=0))
         gate = {a["name"]: a for a in report.assertions}["statistic_concentrates_on_limit_mean"]
         assert not gate["passed"] and "no spread" in gate["detail"]
+
+    @pytest.mark.parametrize("kind, knobs", [
+        ("clt", dict(grid=(0.5, 1.0, math.inf))),
+        ("moments", dict(grid=(0.5, math.inf),
+                         phi=PhiSpec(kind="table", table_x=(0.0, 1.0), table_y=(2.0, 2.0)))),
+        ("hitting", dict(levels=(0.05, 0.1), cross_times=(1.0, math.inf))),
+        ("escape", dict(horizon=math.inf)),
+    ])
+    def test_constant_phi_at_infinity_raises(self, monkeypatch, kind, knobs):
+        # S(+inf) = phi(0) in every replicate and its limit variance is 0: at
+        # n = 60 and M = 300 the clt case failed with max |z| = 6.6e14 at
+        # covariance(inf, inf), the z-score of rounding noise
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the configuration")
+
+        monkeypatch.setattr(ens, "_sample", no_sampling)
+        cfg = ExperimentConfig(kind=kind, params=EnsembleParams(0.0, 1.0, 0.5, 60),
+                               replicates=300, seed=3, **knobs)
+        with pytest.raises(ValueError, match=r"is constant, so S\(\+inf\) does not fluctuate"):
+            run_campaign(cfg)
 
 
 class TestCltCampaign:
@@ -550,6 +585,39 @@ class TestDispatch:
     def test_run_campaign_routes_by_kind(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=4, seed=0)
         assert run_campaign(cfg).campaign == "clt"
+
+    def test_threshold_rule_decides_every_z_gate(self, monkeypatch):
+        # one rule judges every z-score: a rule that fails them all fails
+        # exactly the z-gated assertions of each kind, and no other
+        configs = [
+            ExperimentConfig(kind="clt", params=SMALL, grid=(0.5, 1.0), replicates=50, seed=4),
+            ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 200),
+                             phi=PhiSpec(kind="exp_decay"), delta=0.2, replicates=50,
+                             escape_threshold=1.0),
+            ExperimentConfig(kind="tv_decay", params=EnsembleParams(0.0, 1.0, 0.5, 100),
+                             tv_threshold=1.0),
+            ExperimentConfig(kind="centering_rate", params=SMALL, grid=(1.0,),
+                             n_ladder=(10, 20), slope_max=-0.5),
+            ExperimentConfig(kind="hitting", params=EnsembleParams(0.0, 1.0, 0.5, 50),
+                             levels=(0.075,), cross_times=(1.0,), replicates=50),
+            ExperimentConfig(kind="moments", params=SMALL, grid=(1.0,), replicates=50),
+        ]
+        z_gated = {
+            "clt": {"all_z_within_threshold"},
+            "escape": {"statistic_concentrates_on_limit_mean", "total_mass_matches_exact_mean"},
+            "tv_decay": set(),
+            "centering_rate": set(),
+            "hitting": {"all_z_within_threshold"},
+            "moments": {"all_moment_z_within_threshold"},
+        }
+        assert [cfg.kind for cfg in configs] == list(verify.CAMPAIGN_KINDS)
+        before = [run_campaign(cfg) for cfg in configs]
+        monkeypatch.setattr(verify._Verdicts, "_within", staticmethod(lambda z, z_max: False))
+        for cfg, report in zip(configs, before):
+            swapped = run_campaign(cfg)
+            assert report.passed and swapped.rows == report.rows
+            assert {a["name"] for a in swapped.failures()} == z_gated[cfg.kind]
+            assert swapped.passed == (not z_gated[cfg.kind])
 
     def test_exactness_cross_check(self):
         # (1/n) sum_j cdf_u == mean_exact for phi = 1: two independent paths
