@@ -16,17 +16,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hardedge.ensemble import EnsembleParams  # noqa: E402
-from hardedge.verify import ExperimentConfig, PhiSpec, run_clt  # noqa: E402
+from hardedge.verify import ExperimentConfig, PhiSpec, run_campaign  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/covariance_convergence.csv"))
     ap.add_argument("--ladder", type=str, default="50,100,200,400,800")
     ap.add_argument("--replicates", type=int, default=4000)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
     lines = ["n,max_abs_z,max_rel_var_dev"]
@@ -40,7 +40,7 @@ def main() -> int:
             seed=args.seed,
             workers=args.workers,
         )
-        report = run_clt(cfg)
+        report = run_campaign(cfg)
         cov_rows = [r for r in report.rows if r["record"] == "covariance"]
         max_z = max(abs(r["z"]) for r in cov_rows)
         rel = max(

@@ -21,12 +21,6 @@ from .verify import (
     ExperimentReport,
     PhiSpec,
     run_campaign,
-    run_centering_rate,
-    run_clt,
-    run_escape,
-    run_hitting,
-    run_moments,
-    run_tv_decay,
 )
 
 __version__ = "0.1.0"

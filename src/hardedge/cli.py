@@ -27,6 +27,7 @@ from .verify import (
     CAMPAIGN_KINDS,
     ExperimentConfig,
     PhiSpec,
+    _table_text,
     run_campaign,
 )
 
@@ -161,6 +162,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+_LIMIT_FIELDS = ("quantity", "arg1", "arg2", "value")
+
+
 def _limit_rows(law: LimitLaw, grid, levels) -> list:
     rows = [("kappa", None, None, law.kappa)]
     for t, m1, m2 in zip(grid, *law.moments(grid)):
@@ -190,27 +194,16 @@ def _cmd_limit(args) -> int:
         raise ValueError("limit command requires a nonempty --grid")
     levels = parse_grid(args.levels) if args.levels else ()
     law = LimitLaw(params, spec.build())
-    rows = _limit_rows(law, grid, levels)
-    if args.format == "json":
-        payload = {
-            "schema_version": 1,  # the limit table's own format
-            "params": params.to_dict(),
-            "phi": spec.to_dict(),
-            "grid": [float(t) for t in grid],
-            "levels": [float(h) for h in levels],
-            "rows": [
-                {"quantity": q, "arg1": a1, "arg2": a2, "value": float(v)}
-                for q, a1, a2, v in rows
-            ],
-        }
-        args.out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = ["quantity,arg1,arg2,value"]
-        for q, a1, a2, v in rows:
-            cells = [q, "" if a1 is None else repr(a1), "" if a2 is None else repr(a2),
-                     repr(float(v))]
-            lines.append(",".join(cells))
-        args.out.write_text("\n".join(lines) + "\n")
+    header = {
+        "schema_version": 1,  # the limit table's own format
+        "params": params.to_dict(),
+        "phi": spec.to_dict(),
+        "grid": [float(t) for t in grid],
+        "levels": [float(h) for h in levels],
+    }
+    rows = [dict(zip(_LIMIT_FIELDS, (q, a1, a2, float(v))))
+            for q, a1, a2, v in _limit_rows(law, grid, levels)]
+    args.out.write_text(_table_text(args.format, header, _LIMIT_FIELDS, rows))
     return 0
 
 

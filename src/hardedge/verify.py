@@ -16,9 +16,10 @@ tests, not verdicts.
 
 Verdicts: every z-score is a gate filed in a named family of
 :class:`_Verdicts`, which judges each family as one assertion.  A constant
-phi with a statistic time at +inf (grid, cross time or horizon) raises
-ValueError: S(+inf) = phi(0) on every replicate and its limit variance is 0,
-so a z-score there would measure rounding noise.
+phi with a statistic time at +inf (grid or cross time) raises ValueError:
+S(+inf) = phi(0) on every replicate and its limit variance is 0, so a
+z-score there would measure rounding noise.  The escape horizon and the
+lemma horizon must be finite and positive for any phi.
 
 Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
 range of draws of the PCG64 stream seeded by the master seed.  Replicates
@@ -32,15 +33,14 @@ size.
 Window cut: a campaign whose reads are fixed by U on [0, T], T its largest
 grid point, samples only the particles that can reach T (each left out does
 so with probability below 2^-53; see ``_simulate_statistic``).  That is
-clt, moments and escape with phi = 1, on a finite grid.  hitting, its lemma
-ladder, escape with another phi and any grid holding +inf sample every
-particle.
+clt, moments and escape with a constant phi (derivative bound 0, as for
+phi = 1), on a finite grid.  hitting, its lemma ladder, escape with another
+phi and any grid holding +inf sample every particle.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -63,12 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_campaign",
-    "run_clt",
-    "run_escape",
-    "run_tv_decay",
-    "run_centering_rate",
-    "run_hitting",
-    "run_moments",
 ]
 
 SCHEMA_VERSION = 2
@@ -81,11 +75,13 @@ _BLOCK_PARTICLES = 2**20
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Picklable recipe for a test function from the builtin family.
+    """Recipe for a test function from the builtin family, as a config holds
+    it and a report records it; ``build`` makes the function.
 
     kind: one | exp_decay | rational | table.  ``param`` is the decay rate
     for exp_decay; ``table_x``/``table_y`` hold the knots for a piecewise
-    linear table.
+    linear table.  Campaigns branch on what the built function certifies (a
+    constant has derivative bound 0), not on ``kind``.
     """
 
     kind: str = "one"
@@ -174,7 +170,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(f"unknown campaign kind {self.kind!r}; expected one of {CAMPAIGN_KINDS}")
-        reads = _RUNNERS[self.kind].reads
+        reads = _CAMPAIGNS[self.kind].reads
         for f in fields(self):
             if f.name in ("kind", "params", "seed", "workers") or not self._set(f):
                 continue
@@ -201,6 +197,10 @@ class ExperimentConfig:
         # NaN, negative or infinite thresholds fail or pass every gate
         if not 0.0 <= self.z_max < math.inf:
             raise ValueError(f"z_max must be finite and >= 0, got {self.z_max}")
+        # no particle is below a NaN or negative time, and all are below +inf
+        for name in ("horizon", "lemma_levels_horizon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def _set(self, f) -> bool:
         """Whether field ``f`` is off its default, as a report would record it."""
@@ -223,7 +223,7 @@ class ExperimentConfig:
         # `workers` does not change the results, so it is left out: a report's
         # bytes are the same for any worker count, and so is a rerun from it.
         return {name: self._record(name, getattr(self, name))
-                for name in ("kind", "params", "seed", *_RUNNERS[self.kind].reads)}
+                for name in ("kind", "params", "seed", *_CAMPAIGNS[self.kind].reads)}
 
 
 _ROW_FIELDS = ("record", "n", "arg1", "arg2", "estimate", "target", "se", "z")
@@ -245,35 +245,34 @@ class ExperimentReport:
     passed: bool
     wall_time_s: Optional[float] = None
 
+    def _text(self, fmt: str) -> str:
+        header = {"schema_version": SCHEMA_VERSION, "campaign": self.campaign,
+                  "config": self.config, "assertions": self.assertions, "passed": self.passed}
+        return _table_text(fmt, header, _ROW_FIELDS, self.rows)
+
     def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "campaign": self.campaign,
-            "config": self.config,
-            "rows": self.rows,
-            "assertions": self.assertions,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return self._text("json")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_ROW_FIELDS)
-        for row in self.rows:
-            w.writerow([_csv_cell(row.get(k)) for k in _ROW_FIELDS])
-        return buf.getvalue()
+        return self._text("csv")
 
     def failures(self) -> list:
         return [a for a in self.assertions if not a["passed"]]
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
+def _table_text(fmt: str, header: dict, fields: tuple, rows: list) -> str:
+    """A long-format table, ``rows`` of dicts keyed by ``fields``, as text.
+    JSON: ``header`` plus ``"rows"``, keys sorted.  CSV: the fields, then one
+    line per row, None as an empty cell and floats by ``repr``."""
+    if fmt == "json":
+        return json.dumps({**header, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(fields)
+    for row in rows:
+        w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                    for v in (row[k] for k in fields)])
+    return buf.getvalue()
 
 
 class _Verdicts:
@@ -326,31 +325,19 @@ class _Verdicts:
         self.check(family, all(self._within(z, z_max) for _label, z in zs), detail)
 
 
-_RUNNERS = {}
+_CAMPAIGNS = {}
 
 
 def _campaign(kind: str, reads: tuple):
-    """Register a campaign body, (config, out) -> None, as the runner for
-    ``kind``, which reads the config knobs ``reads`` besides params, seed and
-    workers.  The body writes its rows and assertions to ``out``, a fresh
-    :class:`_Verdicts`, judging each family of gates it files; the runner
-    checks the kind, times the body and assembles the report from ``out``."""
+    """Register a campaign body, (config, out) -> None, as campaign ``kind``,
+    which reads the config knobs ``reads`` (kept as ``body.reads``) besides
+    params, seed and workers.  The body writes its rows and assertions to
+    ``out``, a fresh :class:`_Verdicts` from :func:`run_campaign`, judging
+    each family of gates it files."""
     def register(body):
-        @functools.wraps(body)
-        def run(config: ExperimentConfig) -> ExperimentReport:
-            if config.kind != kind:
-                raise ValueError(f"{body.__name__} requires kind={kind!r}")
-            t0 = time.perf_counter()
-            out = _Verdicts()
-            body(config, out)
-            return ExperimentReport(
-                campaign=kind, config=config.to_dict(), rows=out.rows,
-                assertions=out.assertions, passed=all(a["passed"] for a in out.assertions),
-                wall_time_s=time.perf_counter() - t0,
-            )
-        run.reads = reads
-        _RUNNERS[kind] = run
-        return run
+        body.reads = reads
+        _CAMPAIGNS[kind] = body
+        return body
     return register
 
 
@@ -386,7 +373,7 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
     """
     if phi.derivative_bound == 0.0 and np.any(np.isposinf(grid)):
         raise ValueError(f"phi = {phi.name} is constant, so S(+inf) does not fluctuate: "
-                         "take inf off the grid, cross times or horizon")
+                         "take inf off the grid or cross times")
     M = replicates if replicates is not None else config.replicates
     S = np.empty((M, len(grid)))
     S_inf = np.empty(M)
@@ -429,7 +416,7 @@ def _skew_exkurt(x: np.ndarray):
 
 
 @_campaign("clt", reads=("phi", "grid", "replicates", "z_max", "center_empirical"))
-def run_clt(config: ExperimentConfig, out: _Verdicts) -> None:
+def _clt(config: ExperimentConfig, out: _Verdicts) -> None:
     """Scaled centered statistic on a time grid vs the limit covariance,
     plus marginal Gaussianity diagnostics (skewness, excess kurtosis)."""
     params = config.params
@@ -473,7 +460,7 @@ def run_clt(config: ExperimentConfig, out: _Verdicts) -> None:
 
 @_campaign("escape", reads=("phi", "n_ladder", "delta", "horizon", "escape_threshold",
                               "replicates", "z_max"))
-def run_escape(config: ExperimentConfig, out: _Verdicts) -> None:
+def _escape(config: ExperimentConfig, out: _Verdicts) -> None:
     """Low-index particles leave every fixed window: exact CDF ladder plus a
     Monte Carlo check that the statistic concentrates on the limit mean.
 
@@ -484,13 +471,14 @@ def run_escape(config: ExperimentConfig, out: _Verdicts) -> None:
     exp(-beta (s_{j+1} - s_j) x), decreasing in x.  U_{j+1} is therefore
     below U_j in likelihood ratio, hence stochastically, and
     Prob[U_{j+1} <= T] >= Prob[U_j <= T].  A rung with no such j has
-    nothing to check and raises ValueError, as in ``run_tv_decay``.
+    nothing to check and raises ValueError, as in ``_tv_decay``.
 
-    With phi = 1 the Monte Carlo samples only the particles that can reach T
-    (``_simulate_statistic``), and S(+inf) counts each one left out as 1/n;
-    the escape of those left out is the exact ladder's to check, and the
-    test suite checks it on sampled rows too.  Any other phi samples every
-    particle, since S(+inf) reads them all.
+    With a constant phi (phi = 1, or a constant table) S(+inf) = phi(0)
+    exactly, which ``total_mass_is_one`` checks, and the Monte Carlo samples
+    only the particles that can reach T (``_simulate_statistic``); S(+inf)
+    counts each one left out as phi(0)/n.  The escape of those left out is
+    the exact ladder's to check, and the test suite checks it on sampled rows
+    too.  Any other phi samples every particle, since S(+inf) reads them all.
     """
     phi = config.phi.build()
     ladder = tuple(config.n_ladder) or (config.params.n,)
@@ -537,11 +525,13 @@ def run_escape(config: ExperimentConfig, out: _Verdicts) -> None:
              se=float(np.std(S[:, 0], ddof=1)))
     out.judge("statistic_concentrates_on_limit_mean", config.z_max)
     total = float(S_inf.mean())
-    if config.phi.kind == "one":
-        out.row("total_mass", n=p.n, estimate=total, target=1.0)
+    if phi.derivative_bound == 0.0:
+        # a certified constant phi: S(+inf) = phi(0) exactly, in every replicate
+        mass = float(phi(0.0))
+        out.row("total_mass", n=p.n, estimate=total, target=mass)
         out.check(
-            "total_mass_is_one", abs(total - 1.0) <= 1e-12,
-            f"|S(inf) - 1| = {abs(total - 1.0):.2e}",
+            "total_mass_is_one", abs(total - mass) <= 1e-12 * mass,
+            f"|S(inf) - {mass:g}| = {abs(total - mass):.2e}",
         )
     else:
         out.gate("total_mass_matches_exact_mean", "S(inf)", "total_mass", p.n,
@@ -551,7 +541,7 @@ def run_escape(config: ExperimentConfig, out: _Verdicts) -> None:
 
 
 @_campaign("tv_decay", reads=("n_ladder", "delta", "tv_threshold"))
-def run_tv_decay(config: ExperimentConfig, out: _Verdicts) -> None:
+def _tv_decay(config: ExperimentConfig, out: _Verdicts) -> None:
     """Worst-case TV bound between high-index particles and their exponential
     approximants, tabulated along an n-ladder."""
     ladder = tuple(config.n_ladder) or (config.params.n,)
@@ -587,7 +577,7 @@ def run_tv_decay(config: ExperimentConfig, out: _Verdicts) -> None:
 
 
 @_campaign("centering_rate", reads=("phi", "grid", "n_ladder", "slope_max"))
-def run_centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
+def _centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
     """Decay of sup_t |E S(t) - m1(t)| along an n-ladder, with a fitted
     log-log exponent."""
     phi = config.phi.build()
@@ -598,12 +588,9 @@ def run_centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
     if len(grid) == 0:
         raise ValueError("centering_rate needs a nonempty time grid")
     errs = []
-    m1_grid = None
+    m1_grid = LimitLaw(config.params, phi).m1(grid)  # the limit does not depend on n
     for n in ladder:
         p = replace(config.params, n=int(n))
-        law = LimitLaw(p, phi)
-        if m1_grid is None:
-            m1_grid = law.m1(grid)
         me = proc.mean_exact(p, phi, grid)
         err = float(np.max(np.abs(me - m1_grid)))
         errs.append(err)
@@ -623,7 +610,7 @@ def run_centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
 
 @_campaign("hitting", reads=("phi", "levels", "cross_times", "replicates", "z_max",
                                "n_ladder", "lemma_levels_horizon", "lemma_replicates"))
-def run_hitting(config: ExperimentConfig, out: _Verdicts) -> None:
+def _hitting(config: ExperimentConfig, out: _Verdicts) -> None:
     """Hitting-time fluctuations vs their limit covariance, the joint
     cross-covariance with the statistic, and the divergence at the top level."""
     params = config.params
@@ -694,9 +681,9 @@ def run_hitting(config: ExperimentConfig, out: _Verdicts) -> None:
     # Divergence at the top level: the probability of hitting L before a
     # fixed horizon must decay along an n-ladder.  At moderate n that
     # probability is within ~1e-8 of one, far beyond Monte Carlo resolution,
-    # so for the counting statistic the decrease is asserted on the exact
-    # crossing probability of the particle count; the Monte Carlo fractions
-    # are reported alongside.
+    # so for a constant phi, a multiple of the counting statistic, the
+    # decrease is asserted on the exact crossing probability of the particle
+    # count; the Monte Carlo fractions are reported alongside.
     if config.n_ladder:
         fracs = []
         exact_cross = []
@@ -708,9 +695,10 @@ def run_hitting(config: ExperimentConfig, out: _Verdicts) -> None:
             fracs.append(frac)
             out.row("hit_limit_mass_by_horizon", n=n, arg1=L,
                     arg2=config.lemma_levels_horizon, estimate=frac)
-            if config.phi.kind == "one":
+            if phi.derivative_bound == 0.0:
+                # a constant phi makes S = phi(0) N / n, N the particle count
                 cross = _counting_crossing_probability(
-                    p, config.lemma_levels_horizon, L
+                    p, config.lemma_levels_horizon, L / float(phi(0.0))
                 )
                 exact_cross.append(cross)
                 out.row("hit_limit_mass_by_horizon_exact", n=n, arg1=L,
@@ -766,7 +754,7 @@ def _isserlis(cov: np.ndarray, idx: list) -> float:
 
 
 @_campaign("moments", reads=("phi", "grid", "moment_orders", "replicates", "z_max"))
-def run_moments(config: ExperimentConfig, out: _Verdicts) -> None:
+def _moments(config: ExperimentConfig, out: _Verdicts) -> None:
     """Joint moments of the scaled centered statistic vs Gaussian targets
     computed from the limit covariance by Isserlis pairing."""
     params = config.params
@@ -806,8 +794,17 @@ def run_moments(config: ExperimentConfig, out: _Verdicts) -> None:
     out.judge(gates, config.z_max)
 
 
-CAMPAIGN_KINDS = tuple(_RUNNERS)
+CAMPAIGN_KINDS = tuple(_CAMPAIGNS)
 
 
 def run_campaign(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.kind](config)
+    """Run the campaign ``config.kind``: its body fills a fresh
+    :class:`_Verdicts`, timed, and the report is assembled from it."""
+    t0 = time.perf_counter()
+    out = _Verdicts()
+    _CAMPAIGNS[config.kind](config, out)
+    return ExperimentReport(
+        campaign=config.kind, config=config.to_dict(), rows=out.rows,
+        assertions=out.assertions, passed=all(a["passed"] for a in out.assertions),
+        wall_time_s=time.perf_counter() - t0,
+    )

@@ -12,15 +12,7 @@ from scipy.integrate import quad
 from hardedge import ensemble as ens
 from hardedge.ensemble import EnsembleParams
 from hardedge.limit_law import LimitLaw, omega1, omega2
-from hardedge.verify import (
-    ExperimentConfig,
-    PhiSpec,
-    run_centering_rate,
-    run_clt,
-    run_escape,
-    run_hitting,
-    run_tv_decay,
-)
+from hardedge.verify import ExperimentConfig, PhiSpec, run_campaign
 
 CANON = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100)
 MASTER_SEED = 42
@@ -104,7 +96,7 @@ def test_criterion_3_mean_convergence_rate():
         seed=MASTER_SEED,
         slope_max=-0.8,
     )
-    report = run_centering_rate(cfg)
+    report = run_campaign(cfg)
     elapsed = time.perf_counter() - t0
     slope = [r for r in report.rows if r["record"] == "fitted_slope"][0]["estimate"]
     errs = [r["estimate"] for r in report.rows if r["record"] == "centering_sup_error"]
@@ -130,7 +122,7 @@ CLT_CONFIG = ExperimentConfig(
 
 def test_criterion_4_variance_covariance_fclt():
     t0 = time.perf_counter()
-    report = run_clt(CLT_CONFIG)
+    report = run_campaign(CLT_CONFIG)
     elapsed = time.perf_counter() - t0
     worst = max((abs(r["z"]) for r in report.rows if r["z"] is not None))
     ok = report.passed and elapsed < 300.0
@@ -152,7 +144,7 @@ def test_criterion_5_covariance_form_discrimination():
         seed=MASTER_SEED,
         z_max=5.0,
     )
-    report = run_clt(cfg)
+    report = run_campaign(cfg)
     law = LimitLaw(cfg.params, cfg.phi.build())
     z_alt = []
     for r in report.rows:
@@ -184,7 +176,7 @@ def test_criterion_6_escape_mass():
         escape_threshold=1e-3,
         z_max=5.0,
     )
-    report = run_escape(cfg)
+    report = run_campaign(cfg)
     elapsed = time.perf_counter() - t0
     exact = [r["estimate"] for r in report.rows if r["record"] == "escape_exact_max_cdf"]
     ok = report.passed and elapsed < 60.0
@@ -208,7 +200,7 @@ def test_criterion_7_exponential_approximation():
         seed=MASTER_SEED,
         tv_threshold=0.05,
     )
-    report = run_tv_decay(cfg)
+    report = run_campaign(cfg)
     elapsed = time.perf_counter() - t0
     col = [r["estimate"] for r in report.rows if r["record"] == "tv_bound_max"]
     ok = report.passed and elapsed < 5.0
@@ -237,7 +229,7 @@ HITTING_CONFIG = ExperimentConfig(
 
 def test_criterion_8_hitting_time_fclt():
     t0 = time.perf_counter()
-    report = run_hitting(HITTING_CONFIG)
+    report = run_campaign(HITTING_CONFIG)
     elapsed = time.perf_counter() - t0
     worst = max(abs(r["z"]) for r in report.rows if r["z"] is not None)
     inf_total = sum(r["estimate"] for r in report.rows
@@ -262,11 +254,11 @@ def test_criterion_9_determinism():
 
     # criteria 4 and 8 reports: byte-identical across worker counts
     from dataclasses import replace
-    r4a = run_clt(replace(CLT_CONFIG, workers=1))
-    r4b = run_clt(replace(CLT_CONFIG, workers=8))
+    r4a = run_campaign(replace(CLT_CONFIG, workers=1))
+    r4b = run_campaign(replace(CLT_CONFIG, workers=8))
     clt_ok = (r4a.to_json() == r4b.to_json()) and (r4a.to_csv() == r4b.to_csv())
-    r8a = run_hitting(replace(HITTING_CONFIG, workers=1))
-    r8b = run_hitting(replace(HITTING_CONFIG, workers=8))
+    r8a = run_campaign(replace(HITTING_CONFIG, workers=1))
+    r8b = run_campaign(replace(HITTING_CONFIG, workers=8))
     hit_ok = (r8a.to_json() == r8b.to_json()) and (r8a.to_csv() == r8b.to_csv())
     elapsed = time.perf_counter() - t0
     ok = draws_ok and clt_ok and hit_ok

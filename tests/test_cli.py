@@ -276,12 +276,15 @@ class TestVerifyCommand:
         ("clt", "--z-max", "inf", "z_max must be finite and >= 0"),
         ("tv_decay", "--tv-threshold", "nan", "tv_threshold must be finite"),
         ("clt", "--grid", "0.5,1,inf", "phi = one is constant, so S(+inf) does not fluctuate"),
-    ], ids=["z_max-nan", "z_max-negative", "z_max-inf", "tv_threshold-nan", "phi_one-at-inf"])
+        ("escape", "--horizon", "inf", "horizon must be finite and > 0"),
+    ], ids=["z_max-nan", "z_max-negative", "z_max-inf", "tv_threshold-nan", "phi_one-at-inf",
+            "horizon-inf"])
     def test_threshold_or_time_that_decides_the_verdict_exits_2(self, tmp_path, capsys,
                                                                 campaign, flag, value, message):
         # each of these used to run: z_max = nan or -1 failed every z gate,
         # inf passed them all, tv_threshold = nan printed "0.2000 <= nan",
-        # and S(+inf) for phi = 1 failed with |z| = 6.6e14 on rounding noise
+        # S(+inf) for phi = 1 failed with |z| = 6.6e14 on rounding noise, and
+        # horizon = inf failed the escape ladder (cdf 1 on every rung)
         out = tmp_path / "x.json"
         replicates = ["--replicates", "20"] if campaign == "clt" else []
         grid = ["--grid", "1"] if campaign == "clt" and flag != "--grid" else []

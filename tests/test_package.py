@@ -25,12 +25,6 @@ PUBLIC_NAMES = [
     "phi_one",
     "phi_rational",
     "run_campaign",
-    "run_centering_rate",
-    "run_clt",
-    "run_escape",
-    "run_hitting",
-    "run_moments",
-    "run_tv_decay",
     "sample_batch",
     "statistic_paths",
     "theta",

@@ -16,12 +16,6 @@ from hardedge.verify import (
     _isserlis,
     _simulate_statistic,
     run_campaign,
-    run_centering_rate,
-    run_clt,
-    run_escape,
-    run_hitting,
-    run_moments,
-    run_tv_decay,
 )
 
 SMALL = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=20)
@@ -81,9 +75,17 @@ class TestConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     ExperimentConfig(kind=kind, params=SMALL, **{name: value})
+        # no particle is below a NaN or negative time, so the lemma ladder would
+        # read fractions 0 and pass; every particle is below +inf, so the escape
+        # ladder would read cdf 1 on every rung and fail
+        for kind, knobs in (("escape", {}), ("hitting", {"n_ladder": (100, 200)})):
+            name = "horizon" if kind == "escape" else "lemma_levels_horizon"
+            for value in (math.nan, -5.0, 0.0, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    ExperimentConfig(kind=kind, params=SMALL, **knobs, **{name: value})
 
     def test_registry_declares_the_knobs_each_campaign_reads(self):
-        assert {kind: set(verify._RUNNERS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
+        assert {kind: set(verify._CAMPAIGNS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
         knobs = {f.name for f in fields(ExperimentConfig)} - {"kind", "params", "seed", "workers"}
         assert set(NON_DEFAULT) == knobs
         assert len(UNREAD) == 6 * 16 - 32 == 64
@@ -142,7 +144,7 @@ class TestConfig:
                 return getattr(self.config, name)
 
         cfg = Recording(ExperimentConfig(**{"kind": kind, "params": SMALL, **knobs}))
-        verify._RUNNERS[kind].__wrapped__(cfg, verify._Verdicts())
+        verify._CAMPAIGNS[kind](cfg, verify._Verdicts())
         assert cfg.seen - {"kind", "params", "seed", "workers"} == READS[kind]
 
     def test_phi_spec_parse(self):
@@ -336,8 +338,9 @@ class TestStatisticReduction:
         assert out.assertions == [{"name": "gate", "passed": False,
                                    "detail": "no z-score at b: the sample has no spread"}]
         # no particle reaches T = 1e-6: S(T) = 0 in every replicate
-        report = run_escape(ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 10),
-                                             horizon=1e-6, replicates=2, seed=0))
+        report = run_campaign(ExperimentConfig(kind="escape",
+                                               params=EnsembleParams(0.0, 1.0, 0.5, 10),
+                                               horizon=1e-6, replicates=2, seed=0))
         gate = {a["name"]: a for a in report.assertions}["statistic_concentrates_on_limit_mean"]
         assert not gate["passed"] and "no spread" in gate["detail"]
 
@@ -346,7 +349,6 @@ class TestStatisticReduction:
         ("moments", dict(grid=(0.5, math.inf),
                          phi=PhiSpec(kind="table", table_x=(0.0, 1.0), table_y=(2.0, 2.0)))),
         ("hitting", dict(levels=(0.05, 0.1), cross_times=(1.0, math.inf))),
-        ("escape", dict(horizon=math.inf)),
     ])
     def test_constant_phi_at_infinity_raises(self, monkeypatch, kind, knobs):
         # S(+inf) = phi(0) in every replicate and its limit variance is 0: at
@@ -362,11 +364,46 @@ class TestStatisticReduction:
             run_campaign(cfg)
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0])
+class TestConstantTable:
+    # a table phi = value certifies derivative bound 0, as phi = one does, so
+    # it takes the same exact paths: they follow what phi certifies, not its kind
+    def phi(self, value):
+        return PhiSpec(kind="table", table_x=(0.0, 5.0), table_y=(value, value))
+
+    def test_escape_total_mass_is_exact(self, value):
+        # chosen by kind, S(inf) was z-scored and failed: "the sample has no spread"
+        report = run_campaign(ExperimentConfig(
+            kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 2000), phi=self.phi(value),
+            replicates=20, horizon=5.0, delta=0.2, seed=3))
+        assert report.passed, report.failures()
+        gate = {a["name"]: a for a in report.assertions}["total_mass_is_one"]
+        assert gate["detail"].startswith(f"|S(inf) - {value:g}| = ")
+        row = [r for r in report.rows if r["record"] == "total_mass"]
+        assert [r["target"] for r in row] == [value]
+
+    def test_hitting_lemma_has_its_exact_rung(self, value):
+        # the exact rung runs at L / phi(0), the same count as phi = one at L;
+        # chosen by kind, only the Monte Carlo fractions were checked (1.0, 1.0)
+        def lemma(phi):
+            report = run_campaign(ExperimentConfig(
+                kind="hitting", params=EnsembleParams(0.0, 1.0, 0.5, 200), phi=phi,
+                replicates=200, levels=(0.2 * value,), n_ladder=(100, 400), seed=3))
+            return ([r["estimate"] for r in report.rows
+                     if r["record"] == "hit_limit_mass_by_horizon_exact"],
+                    {a["name"]: a for a in report.assertions})
+
+        exact, gates = lemma(self.phi(value))
+        assert gates["hit_probability_at_limit_mass_decreasing"]["passed"]
+        assert "hit_fraction_at_limit_mass_nonincreasing" not in gates
+        assert exact == lemma(PhiSpec(kind="one"))[0]
+
+
 class TestCltCampaign:
     def test_smoke_report_well_formed(self):
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 10),
                                grid=(0.5, 1.0), replicates=2, seed=1)
-        report = run_clt(cfg)
+        report = run_campaign(cfg)
         assert report.campaign == "clt"
         assert all(np.isfinite(r["z"]) for r in finite_z_rows(report))
         assert report.to_json().startswith("{")
@@ -376,7 +413,7 @@ class TestCltCampaign:
     def test_moderate_run_passes(self):
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 100),
                                grid=(0.5, 1.0, 2.0), replicates=800, seed=3)
-        report = run_clt(cfg)
+        report = run_campaign(cfg)
         assert report.passed, report.failures()
 
     def test_exact_centering_is_one_pass(self, monkeypatch):
@@ -393,21 +430,21 @@ class TestCltCampaign:
         monkeypatch.setattr(quadrature, "integrate", counted)
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 200),
                                grid=(0.5, 1.0, 2.0, 4.0), replicates=20, seed=1)
-        run_clt(cfg)
+        run_campaign(cfg)
         assert passes.count("mean_exact") == 1
 
     def test_empirical_centering_flag(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=50,
                                seed=2, center_empirical=True)
-        report = run_clt(cfg)
+        report = run_campaign(cfg)
         mean_rows = [r for r in report.rows if r["record"] == "mean"]
         assert mean_rows[0]["estimate"] == pytest.approx(0.0, abs=1e-15)
 
     def test_worker_count_does_not_change_bytes(self):
         base = dict(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 30),
                     grid=(0.5, 2.0), replicates=300, seed=11)
-        r1 = run_clt(ExperimentConfig(**base, workers=1))
-        r3 = run_clt(ExperimentConfig(**base, workers=3))
+        r1 = run_campaign(ExperimentConfig(**base, workers=1))
+        r3 = run_campaign(ExperimentConfig(**base, workers=3))
         # the report leaves the worker count out, so its bytes are the same
         assert r1.rows == r3.rows
         assert r1.assertions == r3.assertions
@@ -416,7 +453,7 @@ class TestCltCampaign:
 
     def test_wall_time_not_in_canonical_bytes(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=4, seed=0)
-        report = run_clt(cfg)
+        report = run_campaign(cfg)
         assert report.wall_time_s is not None
         assert "wall_time" not in report.to_json()
 
@@ -426,7 +463,7 @@ class TestEscapeCampaign:
         cfg = ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 100),
                                n_ladder=(50, 100, 200), delta=0.2, horizon=10.0,
                                replicates=200, seed=5, escape_threshold=1.0)
-        report = run_escape(cfg)
+        report = run_campaign(cfg)
         exact = [r for r in report.rows if r["record"] == "escape_exact_max_cdf"]
         vals = [r["estimate"] for r in exact]
         assert vals == sorted(vals, reverse=True)
@@ -440,7 +477,7 @@ class TestEscapeCampaign:
         cfg = ExperimentConfig(kind="escape", params=EnsembleParams(0.0, 1.0, 0.5, 100),
                                n_ladder=(3, 100), delta=0.1, replicates=2, seed=0)
         with pytest.raises(ValueError, match="theta < 1-delta at n=3"):
-            run_escape(cfg)
+            run_campaign(cfg)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_delta_rejected(self, delta):
@@ -467,8 +504,8 @@ class TestEscapeCampaign:
         assert np.max(cdf) == cdf[-1] > 0.0
         dips = np.flatnonzero(np.diff(cdf) < 0.0)
         assert np.all(cdf[dips] < np.finfo(float).tiny)
-        report = run_escape(ExperimentConfig(kind="escape", params=p, delta=delta, horizon=T,
-                                             replicates=2, seed=0))
+        report = run_campaign(ExperimentConfig(kind="escape", params=p, delta=delta, horizon=T,
+                                               replicates=2, seed=0))
         row = [r for r in report.rows if r["record"] == "escape_exact_max_cdf"]
         assert [r["estimate"] for r in row] == [float(np.max(cdf))]
 
@@ -477,7 +514,7 @@ class TestTvCampaign:
     def test_single_n_smoke(self):
         cfg = ExperimentConfig(kind="tv_decay", params=EnsembleParams(0.0, 1.0, 0.5, 100),
                                delta=0.1, seed=0, tv_threshold=1.0)
-        report = run_tv_decay(cfg)
+        report = run_campaign(cfg)
         assert report.passed, report.failures()
         row = [r for r in report.rows if r["record"] == "tv_exact_at_argmax"][0]
         assert row["estimate"] <= row["target"] + 1e-12
@@ -486,7 +523,7 @@ class TestTvCampaign:
         cfg = ExperimentConfig(kind="tv_decay", params=EnsembleParams(0.0, 1.0, 0.5, 100),
                                n_ladder=(100, 400, 1600), delta=0.2, seed=0,
                                tv_threshold=0.2)
-        report = run_tv_decay(cfg)
+        report = run_campaign(cfg)
         assert report.passed, report.failures()
 
 
@@ -497,7 +534,7 @@ class TestCenteringCampaign:
             grid=(0.25, 0.5, 1.0, 2.0), n_ladder=(25, 50, 100), seed=0,
             slope_max=-0.5,
         )
-        report = run_centering_rate(cfg)
+        report = run_campaign(cfg)
         errs = [r["estimate"] for r in report.rows if r["record"] == "centering_sup_error"]
         assert all(e > 0 for e in errs)
         assert errs == sorted(errs, reverse=True)
@@ -507,7 +544,7 @@ class TestCenteringCampaign:
         cfg = ExperimentConfig(kind="centering_rate", params=SMALL, grid=(1.0,),
                                n_ladder=(10, 20), phi=PhiSpec(kind="one"))
         # builtin family always carries a derivative bound; strip it via table-free custom
-        report = run_centering_rate(cfg)  # phi_one has derivative_bound=0, fine
+        report = run_campaign(cfg)  # phi_one has derivative_bound=0, fine
         assert report.campaign == "centering_rate"
 
 
@@ -516,7 +553,7 @@ class TestHittingCampaign:
         p = EnsembleParams(0.0, 1.0, 0.5, 60)
         cfg = ExperimentConfig(kind="hitting", params=p, levels=(0.075, 0.225),
                                cross_times=(1.0,), replicates=300, seed=9)
-        report = run_hitting(cfg)
+        report = run_campaign(cfg)
         assert report.passed, report.failures()
         recs = {r["record"] for r in report.rows}
         assert {"hitting_covariance", "cross_covariance", "infinite_hit_frequency"} <= recs
@@ -525,7 +562,7 @@ class TestHittingCampaign:
         cfg = ExperimentConfig(kind="hitting", params=SMALL, levels=(0.8,),
                                replicates=10, seed=0)
         with pytest.raises(ValueError):
-            run_hitting(cfg)
+            run_campaign(cfg)
 
     @pytest.mark.parametrize("levels", [(0.0, 0.1), (-0.1, 0.1)])
     def test_levels_at_or_below_zero_rejected(self, levels):
@@ -534,7 +571,7 @@ class TestHittingCampaign:
         cfg = ExperimentConfig(kind="hitting", params=SMALL, levels=levels,
                                replicates=10, seed=0)
         with pytest.raises(ValueError, match="strictly between 0"):
-            run_hitting(cfg)
+            run_campaign(cfg)
 
     def test_lemma_ladder_rows(self):
         # short horizon makes the divergence at the top level visible in the
@@ -543,7 +580,7 @@ class TestHittingCampaign:
         cfg = ExperimentConfig(kind="hitting", params=p, levels=(0.075,),
                                replicates=50, seed=1, n_ladder=(50, 200),
                                lemma_replicates=400, lemma_levels_horizon=8.0)
-        report = run_hitting(cfg)
+        report = run_campaign(cfg)
         fracs = [r["estimate"] for r in report.rows
                  if r["record"] == "hit_limit_mass_by_horizon"]
         exact = [r["estimate"] for r in report.rows
@@ -569,7 +606,7 @@ class TestMomentsCampaign:
     def test_moment_campaign_smoke(self):
         cfg = ExperimentConfig(kind="moments", params=EnsembleParams(0.0, 1.0, 0.5, 80),
                                grid=(1.0, 2.0), replicates=600, seed=21)
-        report = run_moments(cfg)
+        report = run_campaign(cfg)
         assert report.passed, report.failures()
         odd = [r for r in report.rows if r["arg1"] in (1.0, 3.0)]
         assert all(r["target"] == 0.0 for r in odd)
@@ -578,7 +615,7 @@ class TestMomentsCampaign:
         cfg = ExperimentConfig(kind="moments", params=SMALL, grid=(1.0,),
                                replicates=4, seed=0, moment_orders=((1, 2),))
         with pytest.raises(ValueError):
-            run_moments(cfg)
+            run_campaign(cfg)
 
 
 class TestDispatch:
