@@ -349,19 +349,22 @@ class TestStatisticReduction:
         ("moments", dict(grid=(0.5, math.inf),
                          phi=PhiSpec(kind="table", table_x=(0.0, 1.0), table_y=(2.0, 2.0)))),
         ("hitting", dict(levels=(0.05, 0.1), cross_times=(1.0, math.inf))),
+        ("escape", dict(horizon=math.inf)),
     ])
     def test_constant_phi_at_infinity_raises(self, monkeypatch, kind, knobs):
         # S(+inf) = phi(0) in every replicate and its limit variance is 0: at
         # n = 60 and M = 300 the clt case failed with max |z| = 6.6e14 at
-        # covariance(inf, inf), the z-score of rounding noise
+        # covariance(inf, inf), the z-score of rounding noise.  An escape
+        # horizon of +inf is refused for every phi, already by the config
         def no_sampling(*args):
             raise AssertionError("sampled before rejecting the configuration")
 
         monkeypatch.setattr(ens, "_sample", no_sampling)
-        cfg = ExperimentConfig(kind=kind, params=EnsembleParams(0.0, 1.0, 0.5, 60),
-                               replicates=300, seed=3, **knobs)
-        with pytest.raises(ValueError, match=r"is constant, so S\(\+inf\) does not fluctuate"):
-            run_campaign(cfg)
+        match = (r"horizon must be finite and > 0" if kind == "escape"
+                 else r"is constant, so S\(\+inf\) does not fluctuate")
+        with pytest.raises(ValueError, match=match):
+            run_campaign(ExperimentConfig(kind=kind, params=EnsembleParams(0.0, 1.0, 0.5, 60),
+                                          replicates=300, seed=3, **knobs))
 
 
 @pytest.mark.parametrize("value", [1.0, 2.0])
