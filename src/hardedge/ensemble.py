@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, ndtri
 
-from .special_functions import log_reg_lower_gamma
+from .special_functions import _left_tail_series, log_reg_lower_gamma
 
 __all__ = [
     "EnsembleParams",
@@ -99,10 +99,6 @@ _RESERVOIR = 4.0
 # Newton on the TV crossing point converges quadratically once above the
 # root, to within rounding (a few 1e-16 in y); more steps than this means a bug.
 _TV_MAX_NEWTON = 100
-
-# The TV series needs at most about 9 sqrt(c) terms, reached as theta -> 1
-# (394 at n = 1e5 for theta > 1.1); more than this means a bug.
-_TV_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -283,18 +279,21 @@ def _gamma_proposal(params: EnsembleParams, shapes, z, accept, v, tmp, mt, ok):
     z *= -params.u_scale
 
 
+def _integer(name: str, value, lo: int) -> int:
+    """``value`` as an int in [lo, 2^64); numpy integers pass, and bool,
+    floats and values out of range raise ValueError."""
+    try:
+        k = lo - 1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        k = lo - 1
+    if not lo <= k < 2**64:
+        raise ValueError(f"{name} must be >= {lo} and an integer below 2^64, got {value!r}")
+    return k
+
+
 def _keys(seed, streams):
     """The seed and the streams as ints, each checked to lie in [0, 2^64)."""
-    def check(name, value):
-        try:
-            k = -1 if isinstance(value, bool) else operator.index(value)
-        except TypeError:
-            k = -1
-        if not 0 <= k < 2**64:
-            raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
-        return k
-
-    return check("seed", seed), [check("stream", s) for s in streams]
+    return _integer("seed", seed, 0), [_integer("stream", s, 0) for s in streams]
 
 
 def _uniforms(entropy, offset: int, out: np.ndarray):
@@ -531,51 +530,18 @@ def tv_upper_bound(params: EnsembleParams, j):
     and its exponential approximant (theta_j > 1 required), broadcast over j:
 
         int_0^inf (1 - w(x)) rate e^{-rate x} dx = (c/s) sum_{k>=0} (k+1)/(s+k+1) T_k
+                                                 = (1/s) sum_{k>=1} k T_k
 
-    with s = s_j, T_0 = 1 and T_k = T_{k-1} c/(s+k).  The terms are positive
-    (the equal 1 - (s-c) e^c c^{-s} gamma(s, c) cancels) and unimodal in k, so
-    an entry whose term falls to 1e-17 of its running total is past the mode
-    and converged.  The bound dominates the exact TV distance and decays like
-    1/(n rho^(2b) (theta-1)^2).
-
-    Cost: sum_j K_j term updates, K_j being entry j's own term count (it
-    falls as s_j grows).  The entries run sorted by s, slowest first, on a
-    live prefix cut back to one past the last unconverged entry every 8
-    terms.  A converged entry left in the prefix adds terms of at most 1e-17
-    of its total, below half an ulp of it, so they round away: each entry
-    equals a scalar call bit for bit, whatever the batch.
+    with s = s_j, T_0 = 1 and T_k = T_{k-1} c/(s+k), so T_k/(s+k+1) = T_{k+1}/c.
+    The terms are positive (the equal 1 - (s-c) e^c c^{-s} gamma(s, c)
+    cancels).  The moment is a sum of ``special_functions._left_tail_series``,
+    the loop ln P runs: each entry stops at its own term count and equals a
+    scalar call bit for bit, whatever the batch.  The bound dominates the
+    exact TV distance and decays like 1/(n rho^(2b) (theta-1)^2).
     """
     _theta_above_one(params, j)
-    s_in = (np.asarray(j, dtype=float) + params.alpha) / params.b
-    order = np.argsort(s_in, axis=None, kind="stable")
-    c = params.c
-    # rows s, t, term, total and s + k; the names view the live prefix
-    work = np.empty((5, len(order)))
-    s, t, term, total, sk = work
-    s[:] = s_in.ravel()[order]
-    t.fill(1.0)
-    np.divide(1.0, s + 1.0, out=term)
-    total[:] = term
-    k = 0
-    while True:
-        if k % 8 == 0 or k >= _TV_MAX_TERMS:
-            live = np.flatnonzero(term > 1e-17 * total)
-            if not len(live):
-                break
-            if k >= _TV_MAX_TERMS:
-                raise ArithmeticError("TV bound series did not converge; this is a bug")
-            s, t, term, total, sk = work[:, :live[-1] + 1]
-        k += 1
-        # t = t c / (s + k), term = (k + 1) t / (s + k + 1), rounded as written
-        np.add(s, k, out=sk)
-        t *= c
-        t /= sk
-        sk += 1
-        np.multiply(t, k + 1, out=term)
-        term /= sk
-        total += term
-    out = np.empty(s_in.shape)
-    out.reshape(-1)[order] = c / work[0] * work[3]
+    s = (np.asarray(j, dtype=float) + params.alpha) / params.b
+    out = _left_tail_series(s.ravel(), params.c)[1].reshape(s.shape) / s
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -589,9 +555,10 @@ def exact_tv_exponential(params: EnsembleParams, j) -> float:
     left side is convex and increasing, so from its quadratic approximation
     the first step lands above the root and the rest decrease to it; the
     distance is stationary at x*, so an error in x* enters it squared.  ln Z
-    is the closed form ln(Z/P) of ``_log_z_over_p`` plus ln P(s, c),
-    independent of the series of ``tv_upper_bound``, which the distance is
-    checked against.
+    is the closed form ln(Z/P) of ``_log_z_over_p`` plus ln P(s, c).  Where
+    P(s, c) > 1e-280 that is ``gammainc``, independent of the series of
+    ``tv_upper_bound`` that the distance is checked against; deeper, both
+    read one left-tail series, and the mpmath tests stay the independent check.
     """
     rate = exp_rate(params, j)
     s = (j + params.alpha) / params.b

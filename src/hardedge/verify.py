@@ -181,16 +181,16 @@ class ExperimentConfig:
             if f.name.startswith("lemma_") and not len(self.n_ladder):
                 raise ValueError(f"the {self.kind} campaign reads {f.name} only with an "
                                  "n_ladder, and n_ladder is empty")
-        ens._keys(self.seed, ())
-        if self.replicates < 2:
-            raise ValueError(f"replicates must be >= 2, got {self.replicates}")
+        for name, lo in (("seed", 0), ("replicates", 2), ("workers", 1), ("lemma_replicates", 1)):
+            ens._integer(name, getattr(self, name), lo)
         for name in ("grid", "levels", "cross_times"):
             if list(getattr(self, name)) != sorted(getattr(self, name)):
                 raise ValueError(f"{name} must be sorted ascending")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.lemma_replicates < 1:
-            raise ValueError(f"lemma_replicates must be >= 1, got {self.lemma_replicates}")
+        # the ladder's assertions compare consecutive rungs, and int() would
+        # run a rung at n = 100 for 100.9, or n = 1 for True
+        ladder = [ens._integer("an n_ladder entry", n, 1) for n in self.n_ladder]
+        if any(a >= b for a, b in zip(ladder, ladder[1:])):
+            raise ValueError(f"n_ladder must be strictly ascending, got {self.n_ladder!r}")
         for name in ("delta", "tv_threshold", "escape_threshold", "slope_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -26,3 +26,24 @@ def _density_u(params: EnsembleParams, j, x):
 def density_u():
     """The exact density of U_j, the oracle of ``cdf_u`` and ``mean_exact``."""
     return _density_u
+
+
+def _left_tail_scalar(s: float, x: float):
+    """The left-tail series T_0 = 1, T_k = T_{k-1} x/(s+k) in scalar double
+    arithmetic, each operation rounded as the batch rounds it: the terms it
+    adds before T_k and k T_k both fall to 1e-18 of their sums, then
+    sum T_k and sum k T_k."""
+    t, total, moment, k = 1.0, 1.0, 0.0, 0
+    while t > 1e-18 * total or k * t > 1e-18 * moment:
+        k += 1
+        t = t * x / (s + k)
+        total = total + t
+        moment = moment + k * t
+    return k, total, moment
+
+
+@pytest.fixture
+def left_tail_scalar():
+    """One-entry reference of ``special_functions._left_tail_series``, the
+    oracle of its batch bits, of its term cap and of ``tv_upper_bound``."""
+    return _left_tail_scalar

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from hardedge import ensemble as ens
+from hardedge import special_functions as sf
 from hardedge.ensemble import EnsembleParams
 from hardedge.limit_law import omega1
 from hardedge.special_functions import log_reg_lower_gamma
@@ -649,6 +650,18 @@ class TestExactLaws:
         assert np.count_nonzero(got < 0.5) > 10 and np.count_nonzero(got > 0.5) > 10
         assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("n, j, t", [
+        (100_000, 60_000, 0.5), (20_000, 7833, 0.01), (100_000, 58_251, 0.01)])
+    def test_deep_cdf_against_mpmath(self, n, j, t):
+        # the log-space branch with P(s, x_T) and P(s, c) below 1e-280, both
+        # ln P from the left-tail series: their difference, of two logs of
+        # -1.75e4, -688 and -1.60e4, is off by 9.0e-11, 6.9e-12 and 2.7e-10.
+        # Taking it directly, -s beta t - c expm1(-beta t) + ln of the ratio
+        # of the two series sums (s ln c and ln Gamma(s + 1) cancel), is
+        # what would tighten this bound
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=n)
+        assert ens.cdf_u(p, j, t) == pytest.approx(cdf_mpmath(p, j, t), rel=0.0, abs=3e-10)
+
     @pytest.mark.parametrize("t", [1e4, 5e4])
     def test_cdf_where_the_horizon_underflows(self, t):
         # s_1 = 0.001: c e^{-beta t} underflows beyond t = 1680, yet U_1 is
@@ -788,18 +801,12 @@ def tv_bound_mpmath(params: EnsembleParams, j: int) -> float:
         return float(1 - (s - c) * mpmath.exp(c) * c ** (-s) * mpmath.gammainc(s, 0, c))
 
 
-def tv_series_scalar(params: EnsembleParams, j: int):
-    """The TV series of particle j in scalar double arithmetic: the terms it
-    adds before one falls to 1e-17 of its running total, and the bound."""
-    s, c = (j + params.alpha) / params.b, params.c
-    t, term, k = 1.0, 1.0 / (s + 1.0), 0
-    total = term
-    while term > 1e-17 * total:
-        k += 1
-        t = t * c / (s + k)
-        term = (k + 1) * t / (s + k + 1)
-        total = total + term
-    return k, c / s * total
+def tv_series_scalar(left_tail_scalar, params: EnsembleParams, j: int):
+    """The TV series of particle j through the scalar left-tail reference:
+    its term count and the bound (1/s) sum_k k T_k."""
+    s = (j + params.alpha) / params.b
+    k, _, moment = left_tail_scalar(s, params.c)
+    return k, moment / s
 
 
 class TestTvSeries:
@@ -847,7 +854,7 @@ class TestTvSeries:
         assert ens.tv_upper_bound(CANON, j) == pytest.approx(val, rel=1e-12, abs=0.0)
 
     def test_term_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(ens, "_TV_MAX_TERMS", 1)
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", 1)
         with pytest.raises(ArithmeticError):
             ens.tv_upper_bound(CANON, 80)
 
@@ -867,11 +874,11 @@ class TestTvSeries:
             assert bounds[r, c] == ens.tv_upper_bound(p, int(js[pick[r, c]]))
 
     @pytest.mark.parametrize("params", [CANON, *SPREAD], ids=_params_id)
-    def test_equals_the_scalar_recurrence_bit_for_bit(self, params):
+    def test_equals_the_scalar_recurrence_bit_for_bit(self, params, left_tail_scalar):
         # the batch rounds every operation as the one-entry recurrence does
         th = ens.theta(params, np.arange(1, params.n + 1))
         js = np.flatnonzero(th > 1.0)[::-1][::max(1, params.n // 200)] + 1
-        want = [tv_series_scalar(params, int(j))[1] for j in js]
+        want = [tv_series_scalar(left_tail_scalar, params, int(j))[1] for j in js]
         assert np.array_equal(ens.tv_upper_bound(params, js), want)
 
     def test_empty_batch(self):
@@ -879,20 +886,21 @@ class TestTvSeries:
             bounds = ens.tv_upper_bound(CANON, js)
             assert isinstance(bounds, np.ndarray) and bounds.shape == js.shape
 
-    def test_term_cap_binds_only_the_entries_that_reach_it(self, monkeypatch):
+    def test_term_cap_binds_only_the_entries_that_reach_it(self, monkeypatch, left_tail_scalar):
         # j = 26 (theta = 1.04) needs the most terms at n = 100, j = 100 the fewest
-        slow, fast = tv_series_scalar(CANON, 26)[0], tv_series_scalar(CANON, 100)[0]
-        assert fast < slow
+        terms = {j: tv_series_scalar(left_tail_scalar, CANON, j)[0] for j in range(26, 101)}
+        slow, fast = terms[26], terms[100]
+        assert fast < slow == max(terms.values())
         cap = (fast + slow) // 2
-        quick = [j for j in range(26, 101) if tv_series_scalar(CANON, j)[0] <= cap]
+        quick = [j for j in range(26, 101) if terms[j] <= cap]
         want = ens.tv_upper_bound(CANON, np.array(quick))
-        monkeypatch.setattr(ens, "_TV_MAX_TERMS", cap)
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", cap)
         with pytest.raises(ArithmeticError):
             ens.tv_upper_bound(CANON, np.arange(26, 101))
         assert np.array_equal(ens.tv_upper_bound(CANON, np.array(quick)), want)
         # the cap is exact: K terms pass, K - 1 do not
-        monkeypatch.setattr(ens, "_TV_MAX_TERMS", slow)
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", slow)
         ens.tv_upper_bound(CANON, np.arange(26, 101))
-        monkeypatch.setattr(ens, "_TV_MAX_TERMS", slow - 1)
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", slow - 1)
         with pytest.raises(ArithmeticError):
             ens.tv_upper_bound(CANON, np.arange(26, 101))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammainc, gammaln
 
 from hardedge import special_functions as sf
+from hardedge.ensemble import EnsembleParams
 from hardedge.special_functions import log_reg_lower_gamma
 
 # P(1/2, 1/2) = erf(sqrt(1/2)), frozen from mpmath.erf at 50 digits.
@@ -85,7 +86,37 @@ class TestLogSpace:
         singles = np.array([log_reg_lower_gamma(float(ai), float(xi)) for ai, xi in zip(a, x)])
         assert np.array_equal(batch, singles)
 
-    def test_series_cap_raises(self, monkeypatch):
+    def test_series_cap_raises(self, monkeypatch, left_tail_scalar):
+        want, terms = log_reg_lower_gamma(1600.0, 400.0), left_tail_scalar(1600.0, 400.0)[0]
         monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", 1)
         with pytest.raises(ArithmeticError):
             log_reg_lower_gamma(1600.0, 400.0)
+        # the cap is exact: K terms pass, K - 1 do not
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", terms)
+        assert log_reg_lower_gamma(1600.0, 400.0) == want
+        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", terms - 1)
+        with pytest.raises(ArithmeticError):
+            log_reg_lower_gamma(1600.0, 400.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, 10.0], ids=["x=c", "x=c*exp(-10beta)"])
+    def test_deep_batch_equals_the_scalar_recurrence(self, horizon, left_tail_scalar):
+        # the 69k shapes at n = 1e5 whose ln P takes the series, shuffled with
+        # repeats: each entry stops at its own term count, so neither its
+        # order nor its company changes its bits
+        p = EnsembleParams(alpha=0.0, b=1.0, rho=0.5, n=100_000)
+        x = p.c * math.exp(-p.beta * horizon)
+        s = p.shapes()
+        s = s[gammainc(s, x) <= sf._LINEAR_FLOOR]
+        assert len(s) > 69_000
+        ladder = log_reg_lower_gamma(s, x)
+        rng = np.random.default_rng(5)
+        pick = rng.integers(0, len(s), size=(2, len(s)))
+        pick[0, :2] = 0, len(s) - 1                 # the slowest and fastest entries
+        assert np.array_equal(log_reg_lower_gamma(s[pick], x), ladder[pick])
+        sums = sf._left_tail_series(s[pick[0]], x)
+        for i in (0, 1, *rng.integers(0, len(s), 40)):
+            a = s[pick[0, i]]
+            _, total, moment = left_tail_scalar(float(a), x)
+            assert (sums[0, i], sums[1, i]) == (total, moment)
+            want = a * np.log(x) - x - np.log(a) + np.log(total) - gammaln(a)
+            assert log_reg_lower_gamma(a, x) == want == ladder[pick[0, i]]

@@ -84,6 +84,32 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                     ExperimentConfig(kind=kind, params=SMALL, **knobs, **{name: value})
 
+    @pytest.mark.parametrize("ladder", [(1000, 100), (1000, 1000), (100.9, 1000.5), (True, 100)],
+                             ids=["descending", "repeated", "fractional", "bool"])
+    def test_n_ladder_must_be_strictly_ascending_integers(self, ladder):
+        # the ladder assertions compare consecutive rungs, so a descending or
+        # repeated ladder fails them whatever the sampler does; int() would
+        # run (100.9, 1000.5) at n = 100 and 1000 under assertions that name
+        # n100.9 and n=1000.5, and (True, 100) at n = 1
+        with pytest.raises(ValueError, match="n_ladder"):
+            ExperimentConfig(kind="tv_decay", params=SMALL, n_ladder=ladder)
+
+    def test_n_ladder_entries_are_at_least_one(self):
+        with pytest.raises(ValueError, match="an n_ladder entry must be >= 1"):
+            ExperimentConfig(kind="tv_decay", params=SMALL, n_ladder=(0, 100))
+        cfg = ExperimentConfig(kind="tv_decay", params=SMALL, n_ladder=np.array([1, 100]))
+        assert cfg.to_dict()["n_ladder"] == [1, 100]
+
+    @pytest.mark.parametrize("name", ["replicates", "lemma_replicates", "workers"])
+    @pytest.mark.parametrize("value", [50.5, 50.0, True], ids=["fractional", "float", "bool"])
+    def test_counts_must_be_integers(self, name, value):
+        # replicates = 50.5 would raise numpy's TypeError mid-campaign, and
+        # workers = 1.5 would run; numpy integers are integers
+        knobs = dict(kind="hitting", params=SMALL, levels=(0.075,), n_ladder=(100, 200))
+        with pytest.raises(ValueError, match=f"^{name} must be >= [12] and an integer"):
+            ExperimentConfig(**knobs, **{name: value})
+        assert getattr(ExperimentConfig(**knobs, **{name: np.int64(50)}), name) == 50
+
     def test_registry_declares_the_knobs_each_campaign_reads(self):
         assert {kind: set(verify._CAMPAIGNS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
         knobs = {f.name for f in fields(ExperimentConfig)} - {"kind", "params", "seed", "workers"}
