@@ -292,8 +292,17 @@ def _integer(name: str, value, lo: int) -> int:
 
 
 def _keys(seed, streams):
-    """The seed and the streams as ints, each checked to lie in [0, 2^64)."""
-    return _integer("seed", seed, 0), [_integer("stream", s, 0) for s in streams]
+    """The seed and the streams as ints, each checked to lie in [0, 2^64):
+    a step-1 ``range`` (one run of consecutive streams) by its two ends, and
+    kept; any other iterable item by item, as a list, with the same errors."""
+    seed = _integer("seed", seed, 0)
+    if isinstance(streams, range) and streams.step == 1:
+        if streams:
+            _integer("stream", streams[0], 0)
+            # in bounds at its start, the range first leaves them at 2^64
+            _integer("stream", min(streams[-1], 2**64), 0)
+        return seed, streams
+    return seed, [_integer("stream", s, 0) for s in streams]
 
 
 def _uniforms(entropy, offset: int, out: np.ndarray):
@@ -353,7 +362,8 @@ def _sample(params: EnsembleParams, js, seed: int, streams, workspace=None):
     # refills reuse; verdicts: exponential, then Marsaglia-Tsang and gamma
     store, flags = ws.carve(rows * (row + max(me, 2 * k)), rows * (me + 2 * k))
     first = store[:rows * row].reshape(rows, row)
-    runs = [i for i in range(1, rows) if streams[i] != streams[i - 1] + 1]
+    runs = [] if isinstance(streams, range) else [
+        i for i in range(1, rows) if streams[i] != streams[i - 1] + 1]
     for i0, i1 in zip([0, *runs], [*runs, rows]):
         _uniforms(seed, streams[i0] * row, first[i0:i1].reshape(-1))
     head = first[:, :width]

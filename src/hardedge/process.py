@@ -11,7 +11,10 @@ time is
     Q(h) = inf{ s >= 0 : S(s) > h }      (+inf when the set is empty).
 
 :func:`statistic_paths` reduces a whole block of configurations to S on a
-grid, S(+inf) and Q at a set of levels; every campaign runs it.
+grid, S(+inf) and Q at a set of levels; every campaign runs it.  With
+levels, S and Q are read by rank off one table of partial sums per sorted
+row, so a level equal to a partial sum is not crossed there (for phi = 1,
+the exact law's N >= floor(hn) + 1).  A constant phi makes no weights.
 :func:`mean_exact` computes the exact finite-n mean E S(t) = int_0^t phi g_n,
 with g_n = (1/n) sum_j f_j the density of a particle chosen at random: E S
 over a whole grid of t comes from one cumulative pass
@@ -132,30 +135,34 @@ def phi_from_table(x, y, name: str = "table") -> TestFunction:
     )
 
 
-def _bins(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The number of points of the nondecreasing ``grid`` below each u, as
-    intp: ``np.searchsorted(grid, u)`` bit for bit, without copying a strided u.
+def _ranks(a: np.ndarray, x, inclusive: bool = False) -> np.ndarray:
+    """The number of entries of ``a`` below each x (at most x if
+    ``inclusive``) as intp, for ``a`` sorted along its last axis: one 1-d
+    array for every x (``np.searchsorted(a, x)`` bit for bit), or (M, m)
+    rows, row i for the x of row i of an (M, q) x.  Strided inputs are read
+    in place.
 
-    A branchless binary search over the grid padded with +inf to 2^k - 1
-    points, k = ceil(log2(G + 1)).  Each pass fixes one more bit of the count:
-    the first compares u with the middle point, a scalar; a later pass with
-    half-width h compares u with pad[(2b + 1)h - 1], the middle of the range
-    that the bits b found so far leave open.  G = 0 gives zeros.
+    A branchless binary search: each count r has its answer in [r, r + w],
+    from r = 0 and w = m; a pass compares x with a[r + half - 1], half =
+    ceil(w / 2), adds half where x passes and halves w, rounding down.  So
+    every x takes m.bit_length() passes and every index stays below m.
     """
-    k = len(grid).bit_length()
-    if k == 0:
-        return np.zeros(u.shape, dtype=np.intp)
-    pad = np.full(2**k - 1, np.inf)
-    pad[:len(grid)] = grid
-    h = 1 << (k - 1)
-    step = pad[h - 1] < u
-    bins = step.astype(np.intp)
-    while h > 1:
-        h >>= 1
-        np.less(pad[h - 1::2 * h].take(bins), u, out=step)
-        bins <<= 1
-        bins += step
-    return bins
+    cmp = np.less_equal if inclusive else np.less
+    size = a.shape[-1]
+    if not size:
+        return np.zeros(np.shape(x), dtype=np.intp)
+    rows = np.arange(len(a))[:, None] if a.ndim > 1 else None
+    half = size - size // 2
+    step = cmp(a[..., half - 1:half], x)
+    r = step * half if half > 1 else step.astype(np.intp)
+    size //= 2
+    while size:
+        half = size - size // 2
+        tail = a[..., half - 1:]
+        cmp(tail.take(r) if rows is None else tail[rows, r], x, out=step)
+        r += step * half if half > 1 else step
+        size //= 2
+    return r
 
 
 def statistic_paths(u, phi: TestFunction, grid, levels=(), n: Optional[int] = None):
@@ -166,13 +173,20 @@ def statistic_paths(u, phi: TestFunction, grid, levels=(), n: Optional[int] = No
     default; a campaign that samples only the m particles that can reach its
     grid passes the full n, and its sums then leave out the others.
 
-    Each row is binned once against the grid with ``_bins``, which reads a
-    strided u in place, and one bincount sums the weights phi(U_j)/n of every
-    (row, bin) pair, so temporaries stay O(M x n) whatever the grid size.
-    With levels, the rows of ``u`` are sorted in place first (a float64 ``u``
-    must be writable; any other is converted, and the copy sorted), so Q is
-    the cumulative weight and one comparison per level; without levels ``u``
-    is left as it is.
+    With levels, the rows of ``u`` are sorted in place (a float64 ``u`` must
+    be writable; any other is converted, and the copy sorted), and one table
+    of partial sums per row, P_0 = 0 and P_k = (phi(U_(1)) + ... +
+    phi(U_(k)))/n, gives both answers by rank (:func:`_ranks`, O(M (G + H)
+    log m)): S(t) = P_N with N = #(U <= t), and Q(h) = U_(K+1) with K =
+    #(k >= 1 : P_k <= h), or +inf when K = m.  A level equal to a partial
+    sum is thus not crossed there, and S(Q(h)) > h holds exactly.  Without
+    levels ``u`` is left as it is: one bincount over the grid bins of
+    :func:`_ranks` sums the weights phi(U_j)/n, so temporaries stay
+    O(M x m) whatever the grid size.
+
+    A phi certified constant (derivative bound 0) is called once, at 0, and
+    makes no weights: P_k = phi(0) k/n is one row for all, the bincount
+    only counts, and S = phi(0) N/n, so for phi = 1 S(t) is N(t)/n exactly.
 
     Raises ``ValueError`` for a grid that is not nondecreasing or holds NaN
     (repeated points are allowed), a NaN or negative level, levels with a
@@ -195,24 +209,33 @@ def statistic_paths(u, phi: TestFunction, grid, levels=(), n: Optional[int] = No
     n = m if n is None else n
     if n < m:
         raise ValueError(f"ensemble size n = {n} is below the {m} particles given")
-    G = len(grid)
-    if len(levels):
+    n = max(n, 1)  # n = 0 only with m = 0, where every sum is 0
+    G, H = len(grid), len(levels)
+    const = float(phi(0.0)) if phi.derivative_bound == 0.0 else None
+    if H:
         u.sort(axis=1)
-    w = np.asarray(phi(u), dtype=float) / n
-    r = np.arange(M)
+        if const is None:
+            P = np.zeros((M, m + 1))
+            np.cumsum(phi(u), axis=1, out=P[:, 1:])
+            P /= n
+        else:
+            P = np.broadcast_to(const * np.arange(m + 1) / n, (M, m + 1))
+        S = np.take_along_axis(P, _ranks(u, np.broadcast_to(grid, (M, G)), True), axis=1)
+        K = _ranks(P[:, 1:], np.broadcast_to(levels, (M, H)), True)
+        Q = np.full((M, H), np.inf)
+        hit = K < m
+        Q[hit] = u[np.nonzero(hit)[0], K[hit]]
+        return S, P[:, m].copy(), Q
     # bin b of row r holds the particles with grid[b-1] < u <= grid[b];
     # bin G holds those beyond the grid
-    bins = _bins(grid, u)
-    bins += r[:, None] * (G + 1)
-    mass = np.bincount(bins.ravel(), weights=w.ravel(), minlength=M * (G + 1))
+    bins = _ranks(grid, u)
+    bins += np.arange(M)[:, None] * (G + 1)
+    w = None if const is not None else np.asarray(phi(u), dtype=float).ravel() / n
+    mass = np.bincount(bins.ravel(), weights=w, minlength=M * (G + 1))
     S = np.cumsum(mass.reshape(M, G + 1)[:, :G], axis=1)
-    Q = np.empty((M, len(levels)))
-    if len(levels):
-        su = np.concatenate((u, np.full((M, 1), np.inf)), axis=1)
-        cum = np.cumsum(w, axis=1)
-        for k, h in enumerate(levels):
-            Q[:, k] = su[r, np.count_nonzero(cum <= h, axis=1)]
-    return S, np.sum(w, axis=1), Q
+    if w is None:
+        return const * S / n, np.full(M, const * m / n), np.empty((M, 0))
+    return S, np.sum(w.reshape(M, m), axis=1), np.empty((M, 0))
 
 
 def _tail_cutoff(params: EnsembleParams, eps: float) -> float:

@@ -185,6 +185,45 @@ class TestSampling:
         with pytest.raises(ValueError):
             ens.sample_batch(CANON, seed, [stream])
 
+    @pytest.mark.parametrize("streams", [
+        range(-1, 3), range(2**64 - 2, 2**64 + 1), range(2**64 - 2, 2**64 + 7),
+        range(2**64, 2**64 + 2), range(-3, 2**64 + 2),
+    ])
+    def test_range_raises_as_its_items_do(self, streams):
+        # a step-1 range is checked by its two ends, with the message the
+        # item-by-item check gives at its first bad stream
+        with pytest.raises(ValueError) as by_items:
+            ens._keys(0, iter(streams))
+        with pytest.raises(ValueError) as by_ends:
+            ens._keys(0, streams)
+        assert str(by_ends.value) == str(by_items.value)
+
+    def test_huge_range_raises_at_two_to_the_64(self):
+        # too long for len(); item by item it would raise there too, 2^64 items on
+        with pytest.raises(ValueError, match="got 18446744073709551616$"):
+            ens._keys(0, range(0, 2**70))
+
+    def test_range_is_checked_by_its_ends(self, monkeypatch):
+        # two checks of streams for a whole range, one run of consecutive
+        # streams, and the bits of the rows an item-by-item list gives
+        want = ens.sample_batch(CANON, 4, [5, 6, 7, 8, 10, 11])
+        checked = []
+        inner = ens._integer
+
+        def recording(name, value, lo):
+            checked.append(name)
+            return inner(name, value, lo)
+
+        monkeypatch.setattr(ens, "_integer", recording)
+        assert ens._keys(4, range(5, 9)) == (4, range(5, 9))
+        assert checked == ["seed", "stream", "stream"]
+        assert ens._keys(0, range(3, 3)) == (0, range(3, 3))
+        got = np.concatenate((ens.sample_batch(CANON, 4, range(5, 9)),
+                              ens.sample_batch(CANON, 4, range(10, 12))))
+        assert np.array_equal(got, want)
+        assert np.array_equal(ens.sample_batch(CANON, 4, range(5, 12, 2)),
+                              ens.sample_batch(CANON, 4, [5, 7, 9, 11]))
+
     def test_numpy_integer_seed_and_stream(self):
         top = 2**64 - 1
         want = ens.sample_batch(CANON, top, [3, top])

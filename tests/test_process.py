@@ -144,6 +144,43 @@ class TestBuildStatistic:
         with pytest.raises(ValueError, match="n = 2 is below the 3 particles"):
             statistic_paths(u, proc.phi_one(), [1.0], n=2)
 
+    def test_tie_level_is_not_crossed(self):
+        # S(75) = 75/100 = 0.75 exactly, which is not > 0.75, so Q(0.75) is the
+        # 76th particle: the count the exact lemma rung needs, floor(h n) + 1;
+        # a constant table phi = 2 at level 1.5 crosses at the same particle
+        S, S_inf, Q = statistic_paths(np.arange(1, 101)[None], proc.phi_one(), [75.0], [0.75])
+        assert S[0, 0] == 0.75 and S_inf[0] == 1.0 and Q[0, 0] == 76.0
+        two = proc.phi_from_table([0.0, 1.0], [2.0, 2.0])
+        S, S_inf, Q = statistic_paths(np.arange(100, 0, -1)[None], two, [75.0], [1.5])
+        assert S[0, 0] == 1.5 and S_inf[0] == 2.0 and Q[0, 0] == 76.0
+
+    @pytest.mark.parametrize("levels", [(), (0.3,)], ids=["binned", "sorted"])
+    def test_counting_is_exact(self, levels):
+        # phi = 1: S(t) is N(t)/n bit for bit, with u at grid points for ties
+        u = ens.sample_batch(CANON, 6, range(20))
+        grid = np.concatenate((np.sort(u[0, ::9]), [1e300]))
+        for n in (100, 300):
+            S, S_inf, _ = statistic_paths(u.copy(), proc.phi_one(), grid, levels, n)
+            N = np.count_nonzero(u[:, :, None] <= grid, axis=1)
+            assert np.array_equal(S, N / n)
+            assert np.array_equal(S_inf, np.full(20, 100 / n))
+
+    @pytest.mark.parametrize("phi", [proc.phi_one(), proc.phi_rational()], ids=["one", "rational"])
+    @pytest.mark.parametrize("levels", [(), (0.0, 0.5)], ids=["binned", "sorted"])
+    def test_empty_axes(self, phi, levels):
+        # no configuration, no particle or no grid point: the shapes stay, an
+        # empty row sums to 0 and never hits a level
+        H = len(levels)
+        S, S_inf, Q = statistic_paths(np.empty((0, 5)), phi, [1.0, 2.0], levels)
+        assert (S.shape, S_inf.shape, Q.shape) == ((0, 2), (0,), (0, H))
+        S, S_inf, Q = statistic_paths(np.empty((3, 0)), phi, [1.0, 2.0], levels)
+        assert np.array_equal(S, np.zeros((3, 2))) and np.array_equal(S_inf, np.zeros(3))
+        assert np.array_equal(Q, np.full((3, H), np.inf))
+        u = np.array([[2.0, 0.5, 1.0], [0.1, 3.0, 0.2]])
+        S, S_inf, Q = statistic_paths(u.copy(), phi, [], levels)
+        assert S.shape == (2, 0) and Q.shape == (2, H)
+        assert S_inf == pytest.approx(np.sum(phi(u), axis=1) / 3, rel=1e-15, abs=0.0)
+
     def test_jump_bound(self):
         u = ens.sample_batch(CANON, 4, [0])
         phi = proc.phi_exp_decay(1.0)
@@ -241,6 +278,9 @@ class TestHittingTime:
             assert S[1] > h
             if q - 1e-9 >= 0:
                 assert S[0] <= h
+            # in one call levels meet the partial sums that S reports
+            S, _, Q = statistic_paths(u, phi, [q], levels=[h])
+            assert Q[0, 0] == q and S[0, 0] > h
 
     def test_hitting_map_right_continuous_nondecreasing(self):
         u, phi, _ = staircase([1.0, 2.0, 5.0], [0.3, 0.3, 0.4])

@@ -10,6 +10,7 @@ from hardedge import process as proc
 from hardedge import quadrature
 from hardedge import verify
 from hardedge.ensemble import EnsembleParams
+from hardedge.limit_law import LimitLaw
 from hardedge.verify import (
     ExperimentConfig,
     PhiSpec,
@@ -218,10 +219,47 @@ class TestStatisticReduction:
                 assert np.max(np.abs(out[0][i] - want)) <= 1e-13
                 if with_levels:
                     su = np.sort(u)
-                    cum = np.cumsum(phi(su) / p.n)
+                    cum = np.cumsum(phi(su)) / p.n
                     want = [next((x for x, c in zip(su, cum) if c > h), math.inf)
                             for h in levels]
                     assert np.array_equal(out[2][i], want)
+
+    @pytest.mark.parametrize("kind", ["one", "rational"])
+    def test_many_cross_times_match_brute_force(self, kind):
+        # 64 cross times with levels: S and Q read off the sorted rows'
+        # partial sums (phi(U_(1)) + ... + phi(U_(k)))/n, bit for bit, with
+        # sampled U values among the cross times and tie levels for phi = one
+        p = EnsembleParams(0.0, 1.0, 0.5, 200)
+        cfg = ExperimentConfig(kind="hitting", params=p, phi=PhiSpec.parse(kind),
+                               replicates=40, seed=9)
+        phi = cfg.phi.build()
+        rows = ens.sample_batch(p, cfg.seed, range(cfg.replicates))
+        grid = np.unique(np.concatenate((np.geomspace(0.01, 20.0, 60), rows[0, [5, 50, 100, 150]])))
+        assert len(grid) == 64
+        levels = np.array([0.0, 0.05, 0.2, 0.4, 0.74])
+        S, _, Q = _simulate_statistic(cfg, p, phi, grid, levels=levels)
+        for i, u in enumerate(rows):
+            su = np.sort(u)
+            cum = np.concatenate(([0.0], np.cumsum(phi(su)) / p.n))
+            assert np.array_equal(S[i], cum[[np.count_nonzero(su <= t) for t in grid]])
+            want = [next((x for x, c in zip(su, cum[1:]) if c > h), math.inf) for h in levels]
+            assert np.array_equal(Q[i], want)
+
+    def test_lemma_crossing_counts_as_the_exact_rung(self):
+        # at n = 100, L n = 75: a replicate has hit L by T exactly when at
+        # least need = floor(L n) + 1 = 76 particles lie below T, the count
+        # whose law _counting_crossing_probability sums; T at the 75th
+        # smallest U of a row puts exactly 75 there
+        p = EnsembleParams(0.0, 1.0, 0.5, 100)
+        L = LimitLaw(p, proc.phi_one()).mass_limit
+        assert L * p.n == 75.0
+        cfg = ExperimentConfig(kind="hitting", params=p, replicates=200, seed=5)
+        rows = ens.sample_batch(p, cfg.seed, range(cfg.replicates))
+        _, _, Q = _simulate_statistic(cfg, p, cfg.phi.build(), np.empty(0), levels=np.array([L]))
+        for T in np.sort(rows[:4], axis=1)[:, 74]:
+            count = np.count_nonzero(rows <= T, axis=1)
+            assert np.any(count == 75)
+            assert np.array_equal(Q[:, 0] <= T, count >= math.floor(L * p.n) + 1)
 
     def test_cut_matches_per_configuration_path(self):
         # clt at n = 500 reads U on [0, 2] only: particles 1..41 are left out,
@@ -277,9 +315,17 @@ class TestStatisticReduction:
         u[0, :G] = grid
         u[1, :5] = (0.0, 0.5 * np.min(u), np.max(u) + 1.0, 1e300, np.inf)
         want = np.searchsorted(grid, u)
-        got = proc._bins(grid, u)
+        got = proc._ranks(grid, u)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(proc._bins(grid, np.ascontiguousarray(u)), want)
+        assert np.array_equal(proc._ranks(grid, np.ascontiguousarray(u)), want)
+        # per row: sorted strided rows of G entries, each searched (at most)
+        # by the grid and by its own entries, ties included
+        rows = u[:, :G]
+        rows.sort(axis=1)
+        x = np.concatenate((np.broadcast_to(grid, (4, G)), rows, u[:, 290:]), axis=1)
+        want = np.array([np.searchsorted(a, q, side="right") for a, q in zip(rows, x)])
+        got = proc._ranks(rows, x, inclusive=True)
+        assert got.dtype == want.dtype and np.array_equal(got, want.reshape(got.shape))
 
 
     def test_block_budget_keeps_report_bytes(self, monkeypatch):
