@@ -68,9 +68,9 @@ def _add_ensemble_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
-# verify's knob flags: (flag, ExperimentConfig field, parser of the text;
-# ``bool`` for a switch).  Only flags given reach the config, so each knob's
-# one default is on ExperimentConfig, which rejects knobs a campaign ignores.
+# verify's knob flags: (flag, ExperimentConfig field, parser of the text).
+# Only flags given reach the config, so each knob's one default is on
+# ExperimentConfig, which rejects knobs a campaign ignores.
 _KNOB_FLAGS = (
     ("--phi", "phi", PhiSpec.parse),
     ("--grid", "grid", parse_grid),
@@ -87,7 +87,6 @@ _KNOB_FLAGS = (
     ("--cross-times", "cross_times", parse_grid),
     ("--lemma-horizon", "lemma_levels_horizon", float),
     ("--lemma-replicates", "lemma_replicates", int),
-    ("--center-empirical", "center_empirical", bool),
 )
 
 
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ensemble_args(vp)
     vp.add_argument("--campaign", choices=CAMPAIGN_KINDS, required=True)
     # argparse converts numbers itself, so its messages name a bad flag
-    how = {bool: {"action": "store_true"}, int: {"type": int}, float: {"type": float}}
+    how = {int: {"type": int}, float: {"type": float}}
     for flag, field, parse in _KNOB_FLAGS:
         vp.add_argument(flag, dest=field, default=argparse.SUPPRESS, **how.get(parse, {}))
     vp.add_argument("--out", type=Path, required=True)

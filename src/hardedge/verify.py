@@ -8,18 +8,19 @@ false-failure rate per campaign, measured over seeds 0.. at n = 500 and
 phi = 1: the clt campaign on the grid (0.5, 1, 2, 4) failed on 50 of 1000
 seeds at M = 16 and on none of 200 at M = 5000; the hitting campaign (levels
 0.075, 0.225, 0.375; cross times 1, 2) failed on 52 of 1000 at M = 16 and on
-about 1% at M = 5000 (2 of seeds 1700-1899, each on a diagonal
-hitting-covariance entry with |z| between 5.1 and 5.4), so a perfbench
-``mc_bulk`` run on such a seed reads pass_frac 0 with nothing wrong.  The
-standard errors come from sample moments, so small-M campaigns are smoke
-tests, not verdicts.
+about 1% at M = 5000 (2 of seeds 1700-1899, and seed 952, each on a
+diagonal hitting-covariance entry with |z| between 5.1 and 5.4), so a
+perfbench ``mc_bulk`` run on such a seed reads pass_frac 0 with nothing
+wrong.  The standard errors come from sample moments, so small-M campaigns
+are smoke tests, not verdicts.
 
 Verdicts: every z-score is a gate filed in a named family of
-:class:`_Verdicts`, which judges each family as one assertion.  A constant
-phi with a statistic time at +inf (grid or cross time) raises ValueError:
-S(+inf) = phi(0) on every replicate and its limit variance is 0, so a
-z-score there would measure rounding noise.  The escape horizon and the
-lemma horizon must be finite and positive for any phi.
+:class:`_Verdicts`, which judges each family as one assertion.  A statistic
+time (grid or cross time) at 0, or at +inf with a constant phi, raises
+ValueError: S(0) = 0 and S(+inf) = phi(0) on every replicate and their limit
+variance is 0, so a z-score there would measure rounding noise or nothing.
+The escape horizon and the lemma horizon must be finite and positive for
+any phi.
 
 Determinism: replicate i is stream i of :mod:`hardedge.ensemble`, its own
 range of draws of the PCG64 stream seeded by the master seed.  Replicates
@@ -33,8 +34,8 @@ size.
 Window cut: a campaign whose reads are fixed by U on [0, T], T its largest
 grid point, samples only the particles that can reach T (each left out does
 so with probability below 2^-53; see ``_simulate_statistic``).  That is
-clt, moments and escape with a constant phi (derivative bound 0, as for
-phi = 1), on a finite grid.  hitting, its lemma ladder, escape with another
+clt, and escape with a constant phi (derivative bound 0, as for phi = 1),
+on a finite grid.  hitting, its lemma ladder, escape with another
 phi and any grid holding +inf sample every particle.
 """
 
@@ -65,7 +66,7 @@ __all__ = [
     "run_campaign",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # Replicates per block: at most _BLOCK, and at most _BLOCK_PARTICLES
 # particles (but one replicate at least), so block temporaries stay bounded
 # as n grows.
@@ -164,8 +165,6 @@ class ExperimentConfig:
     cross_times: tuple = ()         # statistic times for hitting cross-covariance
     lemma_levels_horizon: float = 50.0
     lemma_replicates: int = 1000
-    moment_orders: tuple = ()       # multi-indices aligned with grid
-    center_empirical: bool = False
 
     def __post_init__(self):
         if self.kind not in CAMPAIGN_KINDS:
@@ -215,7 +214,7 @@ class ExperimentConfig:
             return value.to_dict()
         default = self.__dataclass_fields__[name].default
         if isinstance(default, tuple):
-            item = {"n_ladder": int, "moment_orders": list}.get(name, float)
+            item = int if name == "n_ladder" else float
             return [item(v) for v in value]
         return value if default is MISSING else type(default)(value)
 
@@ -279,8 +278,8 @@ class _Verdicts:
     """A campaign's rows and assertions in report order.  ``row`` and
     ``check`` add plain ones; ``gate`` adds a row with z = (estimate - target)
     / se (None with no spread or a NaN estimate) and files (label, z) under
-    ``family`` (None: reported, not judged); ``judge`` makes the family its
-    one assertion: every z ``_within`` z_max, a missing z failing."""
+    ``family``; ``judge`` makes the family its one assertion: every z
+    ``_within`` z_max, a missing z failing."""
 
     def __init__(self):
         self.rows, self.assertions, self._families = [], [], {}
@@ -307,8 +306,7 @@ class _Verdicts:
         # the row maps a NaN z (no spread, or a NaN estimate) to None
         self.row(record, n, arg1, arg2, estimate, target, se,
                  (estimate - target) / se if se > 0.0 else math.nan)
-        if family is not None:
-            self._families.setdefault(family, []).append((label, self.rows[-1]["z"]))
+        self._families.setdefault(family, []).append((label, self.rows[-1]["z"]))
 
     @staticmethod
     def _within(z, z_max) -> bool:
@@ -368,9 +366,13 @@ def _simulate_statistic(config: ExperimentConfig, params: EnsembleParams,
     ``ensemble._first_reaching(params, T)`` on are sampled: each one left out
     reaches T with probability below 2^-53, the resolution of the sampler's
     uniforms, so it adds nothing to S, and phi/n to S(+inf).  Everywhere else
-    j0 = 1 and every particle is sampled.  A constant phi with +inf on the
-    grid raises ValueError (see the module docstring).
+    j0 = 1 and every particle is sampled.  A grid point t <= 0, or +inf with
+    a constant phi, raises ValueError before anything is sampled (see the
+    module docstring).
     """
+    if np.any(grid <= 0.0):
+        raise ValueError("U > 0, so S(t) = 0 in every replicate for t <= 0: "
+                         "take 0 off the grid or cross times")
     if phi.derivative_bound == 0.0 and np.any(np.isposinf(grid)):
         raise ValueError(f"phi = {phi.name} is constant, so S(+inf) does not fluctuate: "
                          "take inf off the grid or cross times")
@@ -415,7 +417,7 @@ def _skew_exkurt(x: np.ndarray):
     return skew, kurt - 3.0
 
 
-@_campaign("clt", reads=("phi", "grid", "replicates", "z_max", "center_empirical"))
+@_campaign("clt", reads=("phi", "grid", "replicates", "z_max"))
 def _clt(config: ExperimentConfig, out: _Verdicts) -> None:
     """Scaled centered statistic on a time grid vs the limit covariance,
     plus marginal Gaussianity diagnostics (skewness, excess kurtosis)."""
@@ -428,10 +430,7 @@ def _clt(config: ExperimentConfig, out: _Verdicts) -> None:
     M = config.replicates
 
     S, _, _ = _simulate_statistic(config, params, phi, grid)
-    if config.center_empirical:
-        center = S.mean(axis=0)
-    else:
-        center = proc.mean_exact(params, phi, grid)
+    center = proc.mean_exact(params, phi, grid)
     X = math.sqrt(params.n) * (S - center)
 
     mean = X.mean(axis=0)
@@ -441,10 +440,8 @@ def _clt(config: ExperimentConfig, out: _Verdicts) -> None:
     mean_se = np.sqrt(np.diag(cov) / M)
     skew, exkurt = _skew_exkurt(X)
     gates = "all_z_within_threshold"
-    # empirically centered means are 0 by construction: reported, not judged
-    mean_family = None if config.center_empirical else gates
     for i, t in enumerate(grid):
-        out.gate(mean_family, f"mean({t}, None)", "mean", params.n, t,
+        out.gate(gates, f"mean({t}, None)", "mean", params.n, t,
                  estimate=mean[i], target=0.0, se=mean_se[i])
         out.gate(gates, f"skewness({t}, None)", "skewness", params.n, t,
                  estimate=skew[i], target=0.0, se=math.sqrt(6.0 / M))
@@ -583,7 +580,10 @@ def _centering_rate(config: ExperimentConfig, out: _Verdicts) -> None:
     phi = config.phi.build()
     if phi.derivative_bound is None:
         raise ValueError("centering_rate requires a phi with a certified derivative bound")
-    ladder = tuple(config.n_ladder) or (config.params.n,)
+    ladder = tuple(config.n_ladder)
+    if len(ladder) < 2:
+        raise ValueError(f"centering_rate fits a slope, so its n_ladder needs at least two "
+                         f"rungs, got {ladder!r}")
     grid = np.asarray(config.grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("centering_rate needs a nonempty time grid")
@@ -737,61 +737,6 @@ def _counting_crossing_probability(params: EnsembleParams, horizon: float,
         dp[1:] = dp[1:] * (1.0 - f) + dp[:-1] * f
         dp[0] *= 1.0 - f
     return float(1.0 - dp.sum())
-
-
-def _isserlis(cov: np.ndarray, idx: list) -> float:
-    """Gaussian moment E[x_{i1} ... x_{ik}] by recursive pair expansion."""
-    if len(idx) == 0:
-        return 1.0
-    if len(idx) % 2 == 1:
-        return 0.0
-    first, rest = idx[0], idx[1:]
-    total = 0.0
-    for pos in range(len(rest)):
-        pair = cov[first, rest[pos]]
-        total += pair * _isserlis(cov, rest[:pos] + rest[pos + 1:])
-    return total
-
-
-@_campaign("moments", reads=("phi", "grid", "moment_orders", "replicates", "z_max"))
-def _moments(config: ExperimentConfig, out: _Verdicts) -> None:
-    """Joint moments of the scaled centered statistic vs Gaussian targets
-    computed from the limit covariance by Isserlis pairing."""
-    params = config.params
-    phi = config.phi.build()
-    law = LimitLaw(params, phi)
-    grid = np.asarray(config.grid, dtype=float)
-    if len(grid) == 0:
-        raise ValueError("moments campaign needs a nonempty time grid")
-    M = config.replicates
-    orders = tuple(config.moment_orders)
-    if not orders:
-        orders = tuple(
-            tuple(p if i == k else 0 for i in range(len(grid)))
-            for k in range(len(grid)) for p in (1, 2, 3, 4)
-        )
-    for m_idx in orders:
-        if len(m_idx) != len(grid) or any(p < 0 for p in m_idx) or sum(m_idx) == 0:
-            raise ValueError(f"bad moment multi-index {m_idx!r} for grid of size {len(grid)}")
-
-    S, _, _ = _simulate_statistic(config, params, phi, grid)
-    center = proc.mean_exact(params, phi, grid)
-    X = math.sqrt(params.n) * (S - center)
-    gram = law.gram_statistic(grid)
-
-    gates = "all_moment_z_within_threshold"
-    for m_idx in orders:
-        sample = np.ones(M)
-        flat = []
-        for i, p in enumerate(m_idx):
-            if p:
-                sample = sample * X[:, i] ** p
-                flat.extend([i] * p)
-        out.gate(gates, "*".join(f"X(t{i})^{p}" for i, p in enumerate(m_idx) if p), "moment",
-                 params.n, float(sum(m_idx)), estimate=float(sample.mean()),
-                 target=_isserlis(gram, flat),
-                 se=float(np.std(sample, ddof=1)) / math.sqrt(M))
-    out.judge(gates, config.z_max)
 
 
 CAMPAIGN_KINDS = tuple(_CAMPAIGNS)

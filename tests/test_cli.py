@@ -14,7 +14,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "campaign", "config", "rows", "assertions", "passed"],
     "properties": {
-        "schema_version": {"const": 2},
+        "schema_version": {"const": 3},
         "campaign": {"type": "string"},
         "config": {"type": "object"},
         "passed": {"type": "boolean"},
@@ -277,17 +277,21 @@ class TestVerifyCommand:
         ("tv_decay", "--tv-threshold", "nan", "tv_threshold must be finite"),
         ("clt", "--grid", "0.5,1,inf", "phi = one is constant, so S(+inf) does not fluctuate"),
         ("escape", "--horizon", "inf", "horizon must be finite and > 0"),
+        ("clt", "--grid", "0,1", "S(t) = 0 in every replicate for t <= 0"),
+        ("centering_rate", "--n-ladder", "10", "n_ladder needs at least two rungs"),
     ], ids=["z_max-nan", "z_max-negative", "z_max-inf", "tv_threshold-nan", "phi_one-at-inf",
-            "horizon-inf"])
+            "horizon-inf", "grid-at-zero", "one-rung-ladder"])
     def test_threshold_or_time_that_decides_the_verdict_exits_2(self, tmp_path, capsys,
                                                                 campaign, flag, value, message):
         # each of these used to run: z_max = nan or -1 failed every z gate,
         # inf passed them all, tv_threshold = nan printed "0.2000 <= nan",
-        # S(+inf) for phi = 1 failed with |z| = 6.6e14 on rounding noise, and
-        # horizon = inf failed the escape ladder (cdf 1 on every rung)
+        # S(+inf) for phi = 1 failed with |z| = 6.6e14 on rounding noise,
+        # horizon = inf failed the escape ladder (cdf 1 on every rung), S(0)
+        # failed with no spread, and one rung fitted a slope to one point
         out = tmp_path / "x.json"
         replicates = ["--replicates", "20"] if campaign == "clt" else []
-        grid = ["--grid", "1"] if campaign == "clt" and flag != "--grid" else []
+        grid = (["--grid", "1"] if campaign in ("clt", "centering_rate") and flag != "--grid"
+                else [])
         code = main(["verify", "--campaign", campaign, "--n", "60", *replicates, *grid,
                      flag, value, "--out", str(out)])
         assert code == 2
@@ -361,6 +365,19 @@ class TestVerifyCommand:
         assert f"reads {field} only with an n_ladder" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("campaign, extra, message", [
+        ("moments", [], "argument --campaign: invalid choice: 'moments'"),
+        ("clt", ["--center-empirical"], "unrecognized arguments: --center-empirical"),
+    ], ids=["moments", "center-empirical"])
+    def test_retired_campaign_and_switch_exit_2(self, tmp_path, capsys, campaign, extra,
+                                                message):
+        # clt gates the mean, covariance, skewness and kurtosis of the same X
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--campaign", campaign, "--grid", "1", *extra,
+                  "--out", str(tmp_path / "x.json")])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_number_names_its_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["verify", "--campaign", "clt", "--grid", "1", "--replicates", "x",
@@ -385,7 +402,7 @@ class TestVerifyCommand:
         assert gates["total_mass_matches_exact_mean"]
 
     @pytest.mark.parametrize("campaign", [
-        "clt", "escape", "tv_decay", "centering_rate", "hitting", "moments",
+        "clt", "escape", "tv_decay", "centering_rate", "hitting",
     ])
     def test_report_schema_validates(self, tmp_path, campaign):
         jsonschema = pytest.importorskip("jsonschema")
@@ -396,7 +413,6 @@ class TestVerifyCommand:
             "centering_rate": ["--n", "20", "--grid", "1", "--n-ladder", "10,20"],
             "hitting": ["--n", "50", "--replicates", "20", "--levels", "0.075",
                         "--cross-times", "1"],
-            "moments": ["--n", "15", "--replicates", "20", "--grid", "1"],
         }[campaign]
         out = tmp_path / "report.json"
         main(["verify", "--campaign", campaign, *flags, "--seed", "0", "--out", str(out)])

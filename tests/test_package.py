@@ -3,6 +3,8 @@ import types
 from pathlib import Path
 
 import hardedge
+from hardedge import verify
+from hardedge.cli import _KNOB_FLAGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +44,14 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_campaign_table_matches_the_registry():
+    # one row per campaign kind, listing exactly the knob flags whose field
+    # the kind reads: nothing else keeps this table in step with the code
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), re.M)
+    assert [kind for kind, _flags in rows] == list(verify.CAMPAIGN_KINDS)
+    for kind, flags in rows:
+        reads = verify._CAMPAIGNS[kind].reads
+        assert sorted(re.findall(r"--[\w-]+", flags)) == sorted(
+            flag for flag, field, _parse in _KNOB_FLAGS if field in reads), kind

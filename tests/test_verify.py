@@ -14,7 +14,6 @@ from hardedge.limit_law import LimitLaw
 from hardedge.verify import (
     ExperimentConfig,
     PhiSpec,
-    _isserlis,
     _simulate_statistic,
     run_campaign,
 )
@@ -29,20 +28,18 @@ def finite_z_rows(report):
 # The knobs each campaign reads besides params, seed and workers, and a
 # non-default value of every knob.
 READS = {
-    "clt": {"phi", "grid", "replicates", "z_max", "center_empirical"},
+    "clt": {"phi", "grid", "replicates", "z_max"},
     "escape": {"phi", "n_ladder", "delta", "horizon", "escape_threshold", "replicates", "z_max"},
     "tv_decay": {"n_ladder", "delta", "tv_threshold"},
     "centering_rate": {"phi", "grid", "n_ladder", "slope_max"},
     "hitting": {"phi", "levels", "cross_times", "replicates", "z_max", "n_ladder",
                 "lemma_levels_horizon", "lemma_replicates"},
-    "moments": {"phi", "grid", "moment_orders", "replicates", "z_max"},
 }
 NON_DEFAULT = {
     "phi": PhiSpec(kind="rational"), "grid": (1.0,), "levels": (0.1,), "replicates": 10,
     "z_max": 4.0, "delta": 0.2, "horizon": 5.0, "n_ladder": (10, 20), "tv_threshold": 0.1,
     "escape_threshold": 0.01, "slope_max": -0.5, "cross_times": (1.0,),
-    "lemma_levels_horizon": 8.0, "lemma_replicates": 10, "moment_orders": ((2,),),
-    "center_empirical": True,
+    "lemma_levels_horizon": 8.0, "lemma_replicates": 10,
 }
 UNREAD = [(kind, name) for kind, reads in READS.items() for name in NON_DEFAULT
           if name not in reads]
@@ -52,6 +49,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="nope", params=SMALL)
+        # retired: clt gates the same moments of the same X
+        with pytest.raises(ValueError, match="unknown campaign kind 'moments'"):
+            ExperimentConfig(kind="moments", params=SMALL)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="clt", params=SMALL, replicates=1)
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestConfig:
         assert {kind: set(verify._CAMPAIGNS[kind].reads) for kind in verify.CAMPAIGN_KINDS} == READS
         knobs = {f.name for f in fields(ExperimentConfig)} - {"kind", "params", "seed", "workers"}
         assert set(NON_DEFAULT) == knobs
-        assert len(UNREAD) == 6 * 16 - 32 == 64
+        assert len(UNREAD) == 5 * 14 - 26 == 44
 
     @pytest.mark.parametrize("kind, name", UNREAD)
     def test_unread_knob_rejected(self, kind, name):
@@ -157,7 +157,6 @@ class TestConfig:
         ("hitting", dict(params=EnsembleParams(0.0, 1.0, 0.5, 50), levels=(0.075,),
                          cross_times=(1.0,), replicates=10, n_ladder=(50, 100),
                          lemma_replicates=10)),
-        ("moments", dict(grid=(1.0,), replicates=4)),
     ])
     def test_campaign_reads_exactly_its_declared_knobs(self, kind, knobs):
         # every branch that reads a knob is taken: the escape and hitting
@@ -418,8 +417,8 @@ class TestStatisticReduction:
 
     @pytest.mark.parametrize("kind, knobs", [
         ("clt", dict(grid=(0.5, 1.0, math.inf))),
-        ("moments", dict(grid=(0.5, math.inf),
-                         phi=PhiSpec(kind="table", table_x=(0.0, 1.0), table_y=(2.0, 2.0)))),
+        ("clt", dict(grid=(0.5, math.inf),
+                     phi=PhiSpec(kind="table", table_x=(0.0, 1.0), table_y=(2.0, 2.0)))),
         ("hitting", dict(levels=(0.05, 0.1), cross_times=(1.0, math.inf))),
         ("escape", dict(horizon=math.inf)),
     ])
@@ -437,6 +436,24 @@ class TestStatisticReduction:
         with pytest.raises(ValueError, match=match):
             run_campaign(ExperimentConfig(kind=kind, params=EnsembleParams(0.0, 1.0, 0.5, 60),
                                           replicates=300, seed=3, **knobs))
+
+    @pytest.mark.parametrize("phi", ["one", "rational"])
+    @pytest.mark.parametrize("kind, knobs", [
+        ("clt", dict(grid=(0.0, 1.0))),
+        ("hitting", dict(levels=(0.1,), cross_times=(0.0, 1.0))),
+    ])
+    def test_time_zero_raises(self, monkeypatch, kind, knobs, phi):
+        # U > 0, so S(0) = 0 in every replicate and K(0, 0) = 0: the clt case
+        # failed with "no z-score at mean(0.0, None)", the hitting case on
+        # cross_covariance(0, 0.1), whatever the sampler did
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the configuration")
+
+        monkeypatch.setattr(ens, "_sample", no_sampling)
+        with pytest.raises(ValueError, match=r"S\(t\) = 0 in every replicate for t <= 0"):
+            run_campaign(ExperimentConfig(kind=kind, params=EnsembleParams(0.0, 1.0, 0.5, 60),
+                                          phi=PhiSpec(kind=phi), replicates=300, seed=3,
+                                          **knobs))
 
 
 @pytest.mark.parametrize("value", [1.0, 2.0])
@@ -483,7 +500,7 @@ class TestCltCampaign:
         assert all(np.isfinite(r["z"]) for r in finite_z_rows(report))
         assert report.to_json().startswith("{")
         parsed = json.loads(report.to_json())
-        assert parsed["schema_version"] == 2
+        assert parsed["schema_version"] == 3
 
     def test_moderate_run_passes(self):
         cfg = ExperimentConfig(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 100),
@@ -507,13 +524,6 @@ class TestCltCampaign:
                                grid=(0.5, 1.0, 2.0, 4.0), replicates=20, seed=1)
         run_campaign(cfg)
         assert passes.count("mean_exact") == 1
-
-    def test_empirical_centering_flag(self):
-        cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=50,
-                               seed=2, center_empirical=True)
-        report = run_campaign(cfg)
-        mean_rows = [r for r in report.rows if r["record"] == "mean"]
-        assert mean_rows[0]["estimate"] == pytest.approx(0.0, abs=1e-15)
 
     def test_worker_count_does_not_change_bytes(self):
         base = dict(kind="clt", params=EnsembleParams(0.0, 1.0, 0.5, 30),
@@ -622,6 +632,19 @@ class TestCenteringCampaign:
         report = run_campaign(cfg)  # phi_one has derivative_bound=0, fine
         assert report.campaign == "centering_rate"
 
+    @pytest.mark.parametrize("ladder", [(), (10,)], ids=["empty", "one-rung"])
+    def test_slope_needs_two_rungs(self, monkeypatch, ladder):
+        # the empty ladder ran at (n,), and polyfit fitted a "slope" of
+        # -0.4616 to one point at n = 500, grid (1,), deciding the verdict
+        def no_mean(*args):
+            raise AssertionError("mean_exact called before rejecting the configuration")
+
+        monkeypatch.setattr(proc, "mean_exact", no_mean)
+        cfg = ExperimentConfig(kind="centering_rate", params=EnsembleParams(0.0, 1.0, 0.5, 500),
+                               grid=(1.0,), n_ladder=ladder)
+        with pytest.raises(ValueError, match="n_ladder needs at least two rungs"):
+            run_campaign(cfg)
+
 
 class TestHittingCampaign:
     def test_smoke(self):
@@ -668,31 +691,6 @@ class TestHittingCampaign:
             assert abs(m - e) <= 5.0 * math.sqrt(0.25 / 400)
 
 
-class TestMomentsCampaign:
-    def test_isserlis_recursion(self):
-        cov = np.array([[2.0]])
-        assert _isserlis(cov, [0, 0]) == pytest.approx(2.0)
-        assert _isserlis(cov, [0, 0, 0]) == 0.0
-        assert _isserlis(cov, [0, 0, 0, 0]) == pytest.approx(3 * 4.0)  # 3 sigma^4
-        cov2 = np.array([[1.0, 0.5], [0.5, 2.0]])
-        # E[x^2 y^2] = v_x v_y + 2 c^2
-        assert _isserlis(cov2, [0, 0, 1, 1]) == pytest.approx(1 * 2 + 2 * 0.25)
-
-    def test_moment_campaign_smoke(self):
-        cfg = ExperimentConfig(kind="moments", params=EnsembleParams(0.0, 1.0, 0.5, 80),
-                               grid=(1.0, 2.0), replicates=600, seed=21)
-        report = run_campaign(cfg)
-        assert report.passed, report.failures()
-        odd = [r for r in report.rows if r["arg1"] in (1.0, 3.0)]
-        assert all(r["target"] == 0.0 for r in odd)
-
-    def test_bad_multi_index(self):
-        cfg = ExperimentConfig(kind="moments", params=SMALL, grid=(1.0,),
-                               replicates=4, seed=0, moment_orders=((1, 2),))
-        with pytest.raises(ValueError):
-            run_campaign(cfg)
-
-
 class TestDispatch:
     def test_run_campaign_routes_by_kind(self):
         cfg = ExperimentConfig(kind="clt", params=SMALL, grid=(1.0,), replicates=4, seed=0)
@@ -712,7 +710,6 @@ class TestDispatch:
                              n_ladder=(10, 20), slope_max=-0.5),
             ExperimentConfig(kind="hitting", params=EnsembleParams(0.0, 1.0, 0.5, 50),
                              levels=(0.075,), cross_times=(1.0,), replicates=50),
-            ExperimentConfig(kind="moments", params=SMALL, grid=(1.0,), replicates=50),
         ]
         z_gated = {
             "clt": {"all_z_within_threshold"},
@@ -720,7 +717,6 @@ class TestDispatch:
             "tv_decay": set(),
             "centering_rate": set(),
             "hitting": {"all_z_within_threshold"},
-            "moments": {"all_moment_z_within_threshold"},
         }
         assert [cfg.kind for cfg in configs] == list(verify.CAMPAIGN_KINDS)
         before = [run_campaign(cfg) for cfg in configs]
